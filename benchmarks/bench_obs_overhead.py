@@ -4,9 +4,9 @@ The plane's per-request cost is one root span, one windowed-histogram
 record and one crc32 sampling draw; hop child spans only materialize
 for kept traces.  The acceptance bar is <5% throughput loss on a
 serve path with modeled service latency (the same 2ms GIL-releasing
-sleep ``bench_serve_concurrency`` uses to stand in for real I/O wait),
-measured with the full plane attached: per-tenant SLOs, tail sampling
-at 5%, and exemplar tracking.
+sleep behind the same RW-lock comparator ``bench_serve_concurrency``
+uses to stand in for real I/O wait), measured with the full plane
+attached: per-tenant SLOs, tail sampling at 5%, and exemplar tracking.
 
 The bench also reports the raw per-request bookkeeping cost in
 microseconds (no modeled latency), so regressions in the instrument
@@ -20,7 +20,7 @@ from repro.obs import default_slos, ObsPlane
 from repro.serve import FrontDoor
 from repro.telemetry import Telemetry
 
-from bench_serve_concurrency import _ModeledLatencyEmulator
+from rwlock import LockedModeledEmulator
 
 #: Acceptance bar: attached plane may cost at most this throughput
 #: fraction on the modeled hot path.
@@ -35,7 +35,7 @@ def _make_front(build, with_obs: bool, modeled: bool) -> FrontDoor:
                  sample_keep=0.05)
     factory = build.make_backend
     if modeled:
-        factory = lambda: _ModeledLatencyEmulator(  # noqa: E731
+        factory = lambda: LockedModeledEmulator(  # noqa: E731
             build.make_backend()
         )
     return FrontDoor(build.module, factory, telemetry=telemetry,

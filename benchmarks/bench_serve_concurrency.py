@@ -1,6 +1,6 @@
-"""Concurrent serving throughput: the RW-lock read path must scale.
+"""Concurrent serving throughput under the RW-lock comparator.
 
-The serving layer's claim is that read-only traffic (bare describes
+The lock-based serving claim is that read-only traffic (bare describes
 and compiled pure-route calls) rides a *shared* lock and therefore
 overlaps across worker threads, while writes serialize.  On a
 single-core runner, pure-Python CPU work cannot overlap, so the bench
@@ -13,15 +13,15 @@ would buy nothing.
 Acceptance: 8-worker read throughput >= 2x the single-worker baseline,
 recorded in ``BENCH_serve_concurrency.json``.
 
-Since the MVCC refactor this file measures the **RW-lock fallback**
-(the modeled-latency wrapper exposes no versioned-read surface, so the
-concurrency layer auto-selects the lock) — it is the committed
-baseline the MVCC bench (``bench_serve_mvcc.py``) must beat.  The JSON
-records two scaling columns: ``read_scaling_8v1`` against a
-single-worker run *under the same lock* (the historical number) and
-``read_scaling_8v1_unlocked`` against an unlocked single-thread pass
-over the same backend — the honest denominator, since the lock also
-taxes the uncontended case.
+The serve layer itself reads lock-free through pinned versions; this
+file puts the reader/writer lock of ``rwlock.py`` inside the modeled
+backend (:class:`~rwlock.LockedModeledEmulator`) and measures it — the
+committed baseline the MVCC bench (``bench_serve_mvcc.py``) must
+beat.  The JSON records two scaling columns: ``read_scaling_8v1``
+against a single-worker run *under the same lock* (the historical
+number) and ``read_scaling_8v1_unlocked`` against an unlocked
+single-thread pass over the same registry — the honest denominator,
+since the lock also taxes the uncontended case.
 """
 
 import os
@@ -30,41 +30,7 @@ import time
 
 from repro.serve import FrontDoor
 
-#: Modeled per-request service time (seconds).  Stands in for the
-#: I/O wait of a real serving stack; sleeps release the GIL so they
-#: overlap exactly when the locking allows them to.
-SERVICE_LATENCY_S = 0.002
-
-
-class _ModeledLatencyEmulator:
-    """An emulator whose every call takes ``latency`` wall seconds."""
-
-    def __init__(self, inner, latency: float = SERVICE_LATENCY_S):
-        self.inner = inner
-        self.latency = latency
-
-    def api_names(self):
-        return self.inner.api_names()
-
-    def supports(self, api):
-        return self.inner.supports(api)
-
-    def read_only(self, api):
-        return self.inner.read_only(api)
-
-    def reset(self):
-        self.inner.reset()
-
-    def snapshot(self):
-        return self.inner.snapshot()
-
-    @property
-    def registry(self):
-        return self.inner.registry
-
-    def invoke(self, api, params=None):
-        time.sleep(self.latency)
-        return self.inner.invoke(api, params)
+from rwlock import LockedModeledEmulator, ModeledEmulator
 
 
 def _read_throughput(front: FrontDoor, vpc: str, workers: int,
@@ -97,7 +63,7 @@ def _read_throughput(front: FrontDoor, vpc: str, workers: int,
 def test_read_path_scales_with_workers(learned_builds, bench_metrics):
     """8 concurrent readers must clear >= 2x one reader's throughput."""
     build = learned_builds["ec2"]
-    backend = _ModeledLatencyEmulator(build.make_backend())
+    backend = LockedModeledEmulator(build.make_backend())
     front = FrontDoor(
         build.module,
         lambda: backend,
@@ -109,12 +75,13 @@ def test_read_path_scales_with_workers(learned_builds, bench_metrics):
     assert created.success
     vpc = created.data["id"]
 
-    # Honest denominator: the same modeled backend, one thread, no
+    # Honest denominator: the same modeled registry, one thread, no
     # front door and no lock at all.
+    unlocked_backend = ModeledEmulator(backend.inner)
     unlocked_calls = 80
     start = time.perf_counter()
     for __ in range(unlocked_calls):
-        response = backend.invoke("DescribeVpcs", {"VpcId": vpc})
+        response = unlocked_backend.invoke("DescribeVpcs", {"VpcId": vpc})
         assert response.success
     unlocked = unlocked_calls / (time.perf_counter() - start)
 
@@ -138,7 +105,7 @@ def test_read_path_scales_with_workers(learned_builds, bench_metrics):
 
 def test_writes_serialize_but_stay_linearizable(learned_builds,
                                                 bench_metrics):
-    """Mixed 8-worker churn: writes serialize on the exclusive side,
+    """Mixed 8-worker churn: writes serialize on the writer mutex,
     the admitted log proves nothing tore, and the serving overhead on
     the write path stays bounded."""
     from repro.serve import LoadGenerator

@@ -1,33 +1,32 @@
 """Lock-free MVCC serve reads: the scaling proof and its guardrails.
 
 The MVCC refactor's claim has three measurable parts, each pinned
-here against the RW-lock fallback measured by
+here against the RW-lock comparator measured by
 ``bench_serve_concurrency.py`` (the committed baseline):
 
 1. **Reads scale without locking.**  The same modeled-service-latency
    methodology as the lock bench — a real ``time.sleep`` per request,
-   released-GIL I/O stand-in — but through a wrapper that forwards the
-   versioned-read surface, so the concurrency layer pins published
-   registry versions instead of taking the shared lock.  The proof of
-   "zero locking" is a counter, not an adjective: the tenant's RW lock
-   must record **0** read acquisitions over the whole run.
+   released-GIL I/O stand-in — through
+   :class:`~rwlock.ModeledEmulator`, which has no lock, so every read
+   pins a published registry version.  The proof is a counter, not an
+   adjective: ``pinned_reads`` must count every read of the run.
 
 2. **Reads do not stall behind writes.**  Under the RW lock, one
    writer holding the exclusive side stalls every reader for its full
    modeled service time; under MVCC, readers keep dispatching against
    the last published version.  The bench runs the same read load
-   under continuous write churn in both modes and requires MVCC to
-   come out strictly ahead — this is the structural gap, robust to
-   scheduler noise in a way raw scaling ratios are not.
+   under continuous write churn against both backends and requires
+   MVCC to come out strictly ahead — this is the structural gap,
+   robust to scheduler noise in a way raw scaling ratios are not.
 
 3. **Writes pay almost nothing for it.**  Publishing a version after
    each commit is a shallow dict copy; steady-state write throughput
    (no modeled latency — raw dispatch, where the publish cost would
-   actually show) must stay within 10% of the RW-lock fallback's.
+   actually show) must stay within 10% of the RW-lock write path's.
 
 A clean and a hostile-chaos 8-worker soak close the file: serial
-replay linearizability and snapshot byte-identity must hold while the
-read path stays lock-free.
+replay linearizability and snapshot byte-identity must hold while
+reads keep pinning versions.
 """
 
 import os
@@ -37,66 +36,12 @@ import time
 from repro.resilience.chaos import ChaosEngine, ChaosProxy, HOSTILE_PROFILE
 from repro.serve import ConcurrentEmulator, FrontDoor, LoadGenerator
 
-#: Modeled per-request service time (seconds) — same figure as the
-#: RW-lock bench so the two JSONs are directly comparable.
-SERVICE_LATENCY_S = 0.002
-
-
-class _ModeledMvccEmulator:
-    """A modeled-latency emulator that keeps the versioned-read surface.
-
-    The lock bench's wrapper deliberately hides ``invoke_at`` so the
-    concurrency layer falls back to the RW lock; this one forwards the
-    whole MVCC surface, so the same modeled workload runs lock-free.
-    """
-
-    def __init__(self, inner, latency: float = SERVICE_LATENCY_S):
-        self.inner = inner
-        self.latency = latency
-        self.mvcc = inner.mvcc
-
-    def api_names(self):
-        return self.inner.api_names()
-
-    def supports(self, api):
-        return self.inner.supports(api)
-
-    def read_only(self, api):
-        return self.inner.read_only(api)
-
-    def reset(self):
-        self.inner.reset()
-
-    def snapshot(self):
-        return self.inner.snapshot()
-
-    def restore(self, snapshot):
-        self.inner.restore(snapshot)
-
-    def recover(self, snapshot, records=None):
-        return self.inner.recover(snapshot, records)
-
-    @property
-    def registry(self):
-        return self.inner.registry
-
-    @property
-    def wal_seq(self):
-        return self.inner.wal_seq
-
-    def publish_version(self):
-        return self.inner.publish_version()
-
-    def invoke(self, api, params=None):
-        time.sleep(self.latency)
-        return self.inner.invoke(api, params)
-
-    def invoke_at(self, version, api, params=None):
-        time.sleep(self.latency)
-        return self.inner.invoke_at(version, api, params)
-
-    def reference_invoke(self, api, params=None, at=None):
-        return self.inner.reference_invoke(api, params, at=at)
+from rwlock import (
+    SERVICE_LATENCY_S,
+    LockedModeledEmulator,
+    ModeledEmulator,
+    RWLock,
+)
 
 
 def _read_throughput(front: FrontDoor, vpc: str, workers: int,
@@ -126,54 +71,18 @@ def _read_throughput(front: FrontDoor, vpc: str, workers: int,
     return (workers * reads_per_worker) / elapsed
 
 
-def _make_front(build, mvcc: bool) -> FrontDoor:
-    if mvcc:
-        factory = lambda: _ModeledMvccEmulator(build.make_backend())  # noqa: E731
-    else:
-        # Same modeled wrapper shape, but without the MVCC surface —
-        # the concurrency layer auto-selects the RW-lock fallback.
-        factory = lambda: _LockedModeled(build.make_backend())  # noqa: E731
+def _make_front(build, locked: bool) -> FrontDoor:
+    wrapper = LockedModeledEmulator if locked else ModeledEmulator
     return FrontDoor(
-        build.module, factory,
+        build.module, lambda: wrapper(build.make_backend()),
         rate=1e9, burst=1e9, max_concurrent=64, queue_depth=256,
     )
 
 
-class _LockedModeled:
-    """The RW-lock twin: modeled latency, no versioned-read surface."""
-
-    def __init__(self, inner, latency: float = SERVICE_LATENCY_S):
-        self.inner = inner
-        self.latency = latency
-
-    def api_names(self):
-        return self.inner.api_names()
-
-    def supports(self, api):
-        return self.inner.supports(api)
-
-    def read_only(self, api):
-        return self.inner.read_only(api)
-
-    def reset(self):
-        self.inner.reset()
-
-    def snapshot(self):
-        return self.inner.snapshot()
-
-    @property
-    def registry(self):
-        return self.inner.registry
-
-    def invoke(self, api, params=None):
-        time.sleep(self.latency)
-        return self.inner.invoke(api, params)
-
-
 def test_mvcc_read_path_scales_lock_free(learned_builds, bench_metrics):
-    """8 pinned readers overlap fully — and the lock counter stays 0."""
+    """8 pinned readers overlap fully — and every read pinned a version."""
     build = learned_builds["ec2"]
-    front = _make_front(build, mvcc=True)
+    front = _make_front(build, locked=False)
     created = front.invoke(
         "CreateVpc", {"CidrBlock": "10.0.0.0/16"}, api_key="bench"
     )
@@ -181,8 +90,6 @@ def test_mvcc_read_path_scales_lock_free(learned_builds, bench_metrics):
     vpc = created.data["id"]
 
     tenant = front.router.get("bench")
-    assert tenant.emulator.mvcc, "expected the lock-free MVCC path"
-
     backend = tenant.emulator.inner
     unlocked_calls = 80
     start = time.perf_counter()
@@ -199,22 +106,18 @@ def test_mvcc_read_path_scales_lock_free(learned_builds, bench_metrics):
     print(f"\nmvcc read path: unlocked {unlocked:,.0f}/s, "
           f"1 worker {single:,.0f}/s, 8 workers {eight:,.0f}/s "
           f"({speedup:.2f}x, {honest:.2f}x vs unlocked), "
-          f"{stats['pinned_reads']} pinned reads, "
-          f"{stats['read_lock_acquisitions']} read locks")
+          f"{stats['pinned_reads']} pinned reads")
     bench_metrics.gauge("read_throughput_unlocked_1_thread_per_s",
                         round(unlocked, 1))
     bench_metrics.gauge("read_throughput_1_worker_per_s", round(single, 1))
     bench_metrics.gauge("read_throughput_8_workers_per_s", round(eight, 1))
     bench_metrics.gauge("read_scaling_8v1", round(speedup, 3))
     bench_metrics.gauge("read_scaling_8v1_unlocked", round(honest, 3))
-    bench_metrics.gauge("read_lock_acquisitions",
-                        stats["read_lock_acquisitions"])
     bench_metrics.gauge("pinned_reads", stats["pinned_reads"])
     bench_metrics.gauge("workers", 8)
     bench_metrics.gauge("cpu_count", os.cpu_count() or 1)
-    # The zero-lock proof: every read pinned a version instead.
-    assert stats["read_lock_acquisitions"] == 0
-    assert stats["pinned_reads"] >= 8 * 40
+    # The lock-free proof: every read pinned a version.
+    assert stats["pinned_reads"] >= 80 + 8 * 40
     assert speedup >= 2.0, f"mvcc read path scaled only {speedup:.2f}x"
 
 
@@ -270,8 +173,8 @@ def test_mvcc_reads_dont_stall_behind_writes(learned_builds,
     """
     build = learned_builds["ec2"]
     rates = {}
-    for mode, mvcc in (("mvcc", True), ("rwlock", False)):
-        front = _make_front(build, mvcc=mvcc)
+    for mode, locked in (("mvcc", False), ("rwlock", True)):
+        front = _make_front(build, locked=locked)
         created = front.invoke(
             "CreateVpc", {"CidrBlock": "10.0.0.0/16"}, api_key="bench"
         )
@@ -279,9 +182,9 @@ def test_mvcc_reads_dont_stall_behind_writes(learned_builds,
         rates[mode] = _churned_read_throughput(
             front, created.data["id"], readers=8, reads_per_worker=30
         )
-        if mvcc:
+        if not locked:
             stats = front.router.get("bench").emulator.version_stats()
-            assert stats["read_lock_acquisitions"] == 0
+            assert stats["pinned_reads"] >= 8 * 30
             bench_metrics.gauge("churn_publishes", stats["publishes"])
             bench_metrics.gauge("churn_reclaimed", stats["reclaimed"])
             bench_metrics.gauge("churn_versions_live",
@@ -302,37 +205,39 @@ def test_mvcc_reads_dont_stall_behind_writes(learned_builds,
 def test_write_path_within_10pct_of_rwlock(learned_builds, bench_metrics):
     """Publish-per-commit must not tax writes beyond 10%.
 
-    No modeled latency here: raw single-thread write dispatch through
-    the concurrency layer, where the version publish (a shallow dict
-    copy of the registry) would actually show up.  Steady-state: one
-    create + one delete per iteration, so the registry — and thus the
-    publish cost — stays constant size.
+    No modeled latency here: raw single-thread write dispatch, where
+    the version publish (a shallow dict copy of the registry) would
+    actually show up, against raw dispatch under the RW lock's
+    exclusive side.  Steady-state: one create + one delete per
+    iteration, so the registry — and thus the publish cost — stays
+    constant size.
     """
     build = learned_builds["ec2"]
     iterations = 400
 
-    def write_rate(mvcc: bool) -> float:
-        emulator = ConcurrentEmulator(build.make_backend(mvcc=mvcc))
-        assert emulator.mvcc is mvcc
+    def write_rate(invoke, reset) -> float:
         best = 0.0
         for __ in range(3):
-            emulator.reset()
+            reset()
             start = time.perf_counter()
             for index in range(iterations):
-                created = emulator.invoke(
-                    "CreateVpc", {"CidrBlock": "10.0.0.0/16"}
-                )
+                created = invoke("CreateVpc", {"CidrBlock": "10.0.0.0/16"})
                 assert created.success
-                emulator.invoke(
-                    "DeleteVpc", {"VpcId": created.data["id"]}
-                )
+                invoke("DeleteVpc", {"VpcId": created.data["id"]})
             best = max(
                 best, 2 * iterations / (time.perf_counter() - start)
             )
         return best
 
-    locked = write_rate(False)
-    versioned = write_rate(True)
+    lock, raw = RWLock(), build.make_backend()
+
+    def locked_invoke(api, params):
+        with lock.write():
+            return raw.invoke(api, params)
+
+    locked = write_rate(locked_invoke, raw.reset)
+    emulator = ConcurrentEmulator(build.make_backend())
+    versioned = write_rate(emulator.invoke, emulator.reset)
     ratio = versioned / locked
     print(f"\nwrite path: rwlock {locked:,.0f}/s, "
           f"mvcc {versioned:,.0f}/s ({ratio:.3f}x)")
@@ -346,7 +251,7 @@ def test_write_path_within_10pct_of_rwlock(learned_builds, bench_metrics):
 
 def test_mvcc_soaks_stay_linearizable(learned_builds, bench_metrics):
     """Clean + hostile 8-worker soaks: serial replay byte-identity and
-    zero read-lock acquisitions, with chaos outside the version chain."""
+    pinned reads, with chaos outside the version chain."""
     build = learned_builds["ec2"]
     for profile, wrap, seed in (
         ("clean", None, 51),
@@ -367,8 +272,8 @@ def test_mvcc_soaks_stay_linearizable(learned_builds, bench_metrics):
         assert report.linearizable, report.mismatches
         assert report.requests == 2000
         stats = report.mvcc
-        assert stats["mvcc_tenants"] == stats["tenants"] > 0
-        assert stats["read_lock_acquisitions"] == 0
+        assert stats["tenants"] > 0
+        assert stats["pinned_reads"] > 0
         assert stats["publishes"] > 0
         print(f"\n{profile} soak: {report.throughput_rps:,.0f} req/s, "
               f"{stats['publishes']} publishes, "
@@ -379,5 +284,5 @@ def test_mvcc_soaks_stay_linearizable(learned_builds, bench_metrics):
                             stats["publishes"])
         bench_metrics.gauge(f"soak_{profile}_reclaimed",
                             stats["reclaimed"])
-        bench_metrics.gauge(f"soak_{profile}_read_lock_acquisitions",
-                            stats["read_lock_acquisitions"])
+        bench_metrics.gauge(f"soak_{profile}_pinned_reads",
+                            stats["pinned_reads"])

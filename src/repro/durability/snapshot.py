@@ -233,10 +233,15 @@ def registry_diff(expected: dict, actual: dict) -> list[str]:
     return diffs
 
 
-def write_snapshot(path: str | Path, snapshot: dict) -> Path:
-    """Persist a snapshot atomically (crash leaves old or new, whole)."""
+def write_snapshot(path: str | Path, snapshot: dict,
+                   fsync: bool = True) -> Path:
+    """Persist a snapshot atomically (crash leaves old or new, whole).
+
+    ``fsync=False`` skips the durability flushes (see
+    :func:`~repro.durability.atomic.atomic_write`)."""
     return atomic_write(
-        path, json.dumps(snapshot, indent=2, sort_keys=True) + "\n"
+        path, json.dumps(snapshot, indent=2, sort_keys=True) + "\n",
+        fsync=fsync,
     )
 
 

@@ -149,16 +149,8 @@ class Emulator:
         compile: bool = True,
         compiled: CompiledModule | None = None,
         wal: "MutationLog | str | None" = None,
-        mvcc: bool = True,
     ):
         self.module = module
-        #: Whether the serving layer may read this emulator through
-        #: pinned registry versions with zero locking.  ``mvcc=False``
-        #: keeps the RW-lock fallback in
-        #: :class:`~repro.serve.concurrency.ConcurrentEmulator`.
-        #: Single-threaded use ignores the flag entirely — nothing is
-        #: published until a concurrency wrapper asks for a version.
-        self.mvcc = bool(mvcc)
         self.notfound_codes = dict(notfound_codes or {})
         self.registry = Registry()
         self._index = module.transition_index()

@@ -84,8 +84,10 @@ class JsonEndpoint:
 
     # -- dict envelope -----------------------------------------------------
 
-    def dispatch(self, request: dict) -> dict:
-        """Handle one decoded request envelope."""
+    @staticmethod
+    def _parse(request: dict) -> tuple[str, dict]:
+        """``(action, parameters)`` of one envelope, or
+        :class:`ProtocolError` when it is malformed."""
         if not isinstance(request, dict):
             raise ProtocolError("request must be a JSON object")
         action = request.get("Action")
@@ -96,6 +98,11 @@ class JsonEndpoint:
             parameters = {}
         if not isinstance(parameters, dict):
             raise ProtocolError("'Parameters' must be a JSON object")
+        return action, parameters
+
+    def dispatch(self, request: dict) -> dict:
+        """Handle one decoded request envelope."""
+        action, parameters = self._parse(request)
         telemetry = self.telemetry
         if telemetry is None or getattr(telemetry, "obs", None) is not None:
             # Under the serving observability plane the front door has
@@ -135,36 +142,45 @@ class JsonEndpoint:
 
     # -- text envelope -----------------------------------------------------------
 
-    def handle(self, payload: "str | bytes") -> str:
-        """Handle one JSON-encoded request; always returns valid JSON.
+    def decode(self, payload: "str | bytes") -> dict:
+        """One wire payload as an envelope :meth:`dispatch` accepts.
 
-        Envelope problems — undecodable bytes, unparsable JSON, a
-        non-object top level, a missing or mistyped ``Action`` or
-        ``Parameters`` — come back as a 400-style
-        ``SerializationException`` rather than an exception: wire front
-        doors don't crash on bad input.
+        Undecodable bytes, unparsable JSON, a non-object top level and
+        a missing or mistyped ``Action`` or ``Parameters`` all raise
+        :class:`ProtocolError`.
         """
         if isinstance(payload, (bytes, bytearray)):
             try:
                 payload = bytes(payload).decode("utf-8")
             except UnicodeDecodeError:
-                return json.dumps(self._serialization_error(
+                raise ProtocolError(
                     "request body is not valid UTF-8"
-                ))
+                ) from None
         try:
             request = json.loads(payload)
         except (json.JSONDecodeError, ValueError) as error:
             message = getattr(error, "msg", str(error))
-            return json.dumps(self._serialization_error(
+            raise ProtocolError(
                 f"could not parse request: {message}"
-            ))
+            ) from None
+        self._parse(request)
+        return request
+
+    def handle(self, payload: "str | bytes") -> str:
+        """Handle one JSON-encoded request; always returns valid JSON.
+
+        Envelope problems (see :meth:`decode`) come back as a
+        400-style ``SerializationException`` rather than an exception:
+        wire front doors don't crash on bad input.
+        """
         try:
-            body = self.dispatch(request)
+            body = self.dispatch(self.decode(payload))
         except ProtocolError as error:
-            body = self._serialization_error(str(error))
+            body = self.serialization_error(str(error))
         return json.dumps(body)
 
-    def _serialization_error(self, message: str) -> dict:
+    def serialization_error(self, message: str) -> dict:
+        """The ``SerializationException`` envelope for a bad request."""
         return {
             "ResponseMetadata": {"RequestId": self._request_id()},
             "Error": {

@@ -172,15 +172,10 @@ class RegionGate:
                 region = self.placer.region_for_create(
                     api, params, client
                 ) if "create" in api.lower() else resource_region
-                # Route placement through the concurrency layer when it
-                # offers one: under MVCC the placement must be
-                # *republished* so the snapshot below (taken from the
-                # newest published version) already carries it.
-                place = getattr(emulator, "place", None)
-                if place is not None:
-                    place(created, region)
-                else:
-                    emulator.registry.place(created, region)
+                # Place through the concurrency layer: the placement must
+                # be *republished* so the snapshot below (taken from
+                # the newest published version) already carries it.
+                emulator.place(created, region)
             if state.replicas is not None:
                 state.replicas.publish(emulator.snapshot(), now)
         return response

@@ -10,10 +10,10 @@ time:
   ``RequestLimitExceeded`` and a ``RetryAfterSeconds`` hint computed
   from the refill rate;
 - a **bounded admission queue**: requests beyond the concurrency
-  target wait their turn implicitly (on the emulator's RW lock), but
-  only ``queue_depth`` of them may be in the building at once — the
-  excess sheds with ``ServiceUnavailable`` instead of growing an
-  unbounded backlog;
+  target wait their turn implicitly (writes on the emulator's writer
+  mutex), but only ``queue_depth`` of them may be in the building at
+  once — the excess sheds with ``ServiceUnavailable`` instead of
+  growing an unbounded backlog;
 - **degraded mode**: a tenant that keeps hammering an empty bucket
   flips to degraded — writes shed immediately with
   ``ServiceUnavailable`` while reads bypass the bucket and stay

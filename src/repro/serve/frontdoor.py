@@ -12,7 +12,8 @@ edge does::
           crosses the (client-region -> resource-region) link and can
           pay RTT, get lost, or bounce off a partition]
       -> [chaos / resilience proxies, if configured]
-      -> concurrent dispatch  (ConcurrentEmulator: RW lock, admitted
+      -> concurrent dispatch  (ConcurrentEmulator: lock-free pinned
+                               reads, serialized writes, admitted
                                log)
       -> the emulator
 
@@ -25,7 +26,9 @@ paper's bar for the emulator itself (§2).
 
 from __future__ import annotations
 
-from ..interpreter.endpoint import RequestIdSequence
+import json
+
+from ..interpreter.endpoint import ProtocolError, RequestIdSequence
 from ..interpreter.errors import ApiResponse
 from ..obs.tracectx import current_request
 from ..resilience.policy import VirtualClock
@@ -316,14 +319,22 @@ class FrontDoor:
 
     def handle(self, payload: "str | bytes",
                api_key: str | None = None) -> str:
-        """Handle one JSON-encoded request; always returns valid JSON."""
-        import json
+        """Handle one JSON-encoded request; always returns valid JSON.
 
+        The tenant's endpoint decodes the payload (bad UTF-8, bad JSON
+        and bad envelopes answer ``SerializationException``); the
+        request then takes exactly the :meth:`dispatch` path.
+        """
         try:
             tenant = self.router.resolve(api_key)
         except AuthError as error:
             return json.dumps(self._auth_envelope(error))
-        return tenant.endpoint.handle(payload)
+        try:
+            request = tenant.endpoint.decode(payload)
+        except ProtocolError as error:
+            body = tenant.endpoint.serialization_error(str(error))
+            return json.dumps(body)
+        return json.dumps(self.dispatch(request, api_key))
 
     def invoke(self, api: str, params: dict | None = None,
                api_key: str | None = None,

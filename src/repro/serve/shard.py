@@ -68,7 +68,7 @@ from ..resilience.chaos import (
 )
 from ..resilience.policy import VirtualClock
 from ..spec import parse_module, serialize_module
-from .concurrency import ConcurrentEmulator
+from .concurrency import ConcurrentEmulator, sum_version_stats
 from .deadline import current_meta, expired_response
 from .frontdoor import ConfigError, FrontDoor, _GuardedBackend
 from .loadgen import _canonical
@@ -218,7 +218,6 @@ class _ShardWorker:
     def _fresh(self) -> Emulator:
         return Emulator(
             self.module, notfound_codes=self.config.notfound_codes,
-            mvcc=True,
         )
 
     def _tenant(self, name: str) -> ConcurrentEmulator:
@@ -333,7 +332,7 @@ class _ShardWorker:
             "shard": self.config.index,
             "shard_seq": self.log.seq,
             "snapshot": concurrent.snapshot(),
-        })
+        }, fsync=self.config.fsync)
 
     # -- introspection ops --------------------------------------------------
 
@@ -1076,7 +1075,6 @@ class _ShardBackend:
         self.tenant = tenant
         self.shard = supervisor.shard_for(tenant)
         self._probe = probe  # local emulator, classification only
-        self.mvcc = False    # versions live worker-side
         self.log = None
 
     # -- classification (local, no RPC) ------------------------------------
@@ -1326,29 +1324,13 @@ class ShardedFrontDoor(FrontDoor):
         restarted shard's chain starts fresh — its durable state is
         what recovery proves, not its version counters).
         """
-        merged = {
-            "tenants": 0,
-            "mvcc_tenants": 0,
-            "publishes": 0,
-            "reclaimed": 0,
-            "versions_live": 0,
-            "pinned_reads": 0,
-            "read_lock_acquisitions": 0,
-            "write_lock_acquisitions": 0,
-            "shards": self.supervisor.shards,
-            "restarts": self.supervisor.restarts,
-        }
-        for stats in self.supervisor.shard_stats():
-            for per_tenant in stats["version_stats"]:
-                merged["tenants"] += 1
-                if per_tenant.get("mvcc"):
-                    merged["mvcc_tenants"] += 1
-                    for key in ("publishes", "reclaimed",
-                                "versions_live", "pinned_reads"):
-                        merged[key] += per_tenant.get(key, 0)
-                for key in ("read_lock_acquisitions",
-                            "write_lock_acquisitions"):
-                    merged[key] += per_tenant.get(key, 0)
+        merged = sum_version_stats(
+            per_tenant
+            for stats in self.supervisor.shard_stats()
+            for per_tenant in stats["version_stats"]
+        )
+        merged["shards"] = self.supervisor.shards
+        merged["restarts"] = self.supervisor.restarts
         return merged
 
     def close(self) -> None:

@@ -5,10 +5,11 @@ one tenant's resources, faults and throttles must never be visible to
 another.  :class:`TenantRouter` maps each API key to its own backend
 instance — a fresh emulator over the *shared* compiled module (the
 compiler's closures are stateless, so N tenants cost N registries,
-not N compilations) — plus the per-tenant serving state: the RW lock,
-the chaos wrapper (each tenant gets its own fault schedule lane, so
-one tenant's bad weather stays theirs) and the JSON endpoint with its
-deterministic request-id stream.
+not N compilations) — plus the per-tenant serving state: the
+concurrency layer (published versions, writer mutex), the chaos
+wrapper (each tenant gets its own fault schedule lane, so one tenant's
+bad weather stays theirs) and the JSON endpoint with its deterministic
+request-id stream.
 
 Authentication is deliberately minimal (this is an emulator, not an
 IAM): a key either resolves or fails with the cloud's own codes —

@@ -1,5 +1,5 @@
-"""MVCC serve path: version immutability, publication, reclamation,
-the lock-free read contract, and the RW-lock fairness fallback."""
+"""MVCC serve path: version immutability, publication, reclamation
+and the lock-free read contract."""
 
 import json
 import threading
@@ -12,7 +12,6 @@ from repro.durability.snapshot import version_dump
 from repro.obs.tracectx import CURRENT_REQUEST, RequestContext
 from repro.resilience.chaos import ChaosEngine, ChaosProxy, HOSTILE_PROFILE
 from repro.serve import ConcurrentEmulator, FrontDoor, LoadGenerator
-from repro.serve.locks import RWLock
 from repro.serve.mvcc import ReaderSlots, VersionChain
 from repro.telemetry.report import _serving_rows
 
@@ -153,7 +152,6 @@ class TestVersionChain:
 class TestConcurrentEmulatorMvcc:
     def test_auto_detects_mvcc_and_reads_never_lock(self, build):
         emulator = ConcurrentEmulator(build.make_backend())
-        assert emulator.mvcc
         created = emulator.invoke(
             "CreateVpc", {"CidrBlock": "10.0.0.0/16"}
         )
@@ -162,31 +160,17 @@ class TestConcurrentEmulatorMvcc:
         for __ in range(20):
             assert emulator.invoke("DescribeVpcs", params).success
         stats = emulator.version_stats()
-        assert stats["read_lock_acquisitions"] == 0
-        assert stats["write_lock_acquisitions"] == 0
-        assert stats["pinned_reads"] >= 20
+        assert stats["pinned_reads"] == 20
         assert stats["publishes"] >= 2
 
-    def test_mvcc_false_falls_back_to_the_rw_lock(self, build):
-        emulator = ConcurrentEmulator(build.make_backend(mvcc=False))
-        assert not emulator.mvcc
-        created = emulator.invoke(
-            "CreateVpc", {"CidrBlock": "10.0.0.0/16"}
-        )
-        params = {"VpcId": created.data["id"]}
-        for __ in range(5):
-            assert emulator.invoke("DescribeVpcs", params).success
-        assert emulator.lock.read_acquisitions == 5
-        assert emulator.lock.write_acquisitions == 1
-        assert emulator.version_stats()["mvcc"] is False
-
-    def test_forcing_mvcc_without_the_surface_is_an_error(self, build):
+    def test_forcing_mvcc_without_the_surface_is_an_error(self):
         class _Opaque:
             def read_only(self, api):
                 return True
 
-        with pytest.raises(TypeError, match="invoke_at"):
-            ConcurrentEmulator(_Opaque(), mvcc=True)
+        with pytest.raises(TypeError,
+                           match="has no invoke_at, publish_version"):
+            ConcurrentEmulator(_Opaque())
 
     def test_request_context_records_the_pinned_version(self, build):
         emulator = ConcurrentEmulator(build.make_backend())
@@ -291,7 +275,7 @@ class TestConcurrentEmulatorMvcc:
         finally:
             stop.set()
             churn.join()
-        assert emulator.version_stats()["read_lock_acquisitions"] == 0
+        assert emulator.version_stats()["pinned_reads"] >= 60
 
     def test_reclamation_bounds_live_versions(self, build):
         emulator = ConcurrentEmulator(build.make_backend())
@@ -344,84 +328,10 @@ class TestMvccSoak:
             shadow.join()
         assert report.linearizable, report.mismatches
         assert not snapshot_failures
-        assert report.mvcc["read_lock_acquisitions"] == 0
-        assert report.mvcc["mvcc_tenants"] == report.mvcc["tenants"]
+        assert report.mvcc["tenants"] == 2
+        assert report.mvcc["pinned_reads"] > 0
+        assert report.mvcc["publishes"] > 0
         assert sum(engine.injected.values()) > 0
-
-
-class TestRWLockFairness:
-    def test_counters_track_acquisitions(self):
-        lock = RWLock()
-        with lock.read():
-            pass
-        with lock.write():
-            pass
-        assert lock.read_acquisitions == 1
-        assert lock.write_acquisitions == 1
-
-    def test_read_streak_triggers_a_fairness_yield(self):
-        lock = RWLock(fairness_bound=4, yield_s=0.001)
-        held = threading.Event()
-        release = threading.Event()
-
-        def holder():
-            with lock.read():
-                held.set()
-                release.wait(timeout=5)
-
-        thread = threading.Thread(target=holder)
-        thread.start()
-        assert held.wait(timeout=5)
-        # Build an unbroken admission streak past the bound while a
-        # reader is still inside; the bound must fire and be counted.
-        for __ in range(6):
-            with lock.read():
-                pass
-        assert lock.fairness_yields >= 1
-        release.set()
-        thread.join()
-
-    def test_write_resets_the_streak(self):
-        lock = RWLock(fairness_bound=4, yield_s=0.001)
-        for __ in range(3):
-            with lock.read():
-                pass
-        with lock.write():
-            pass
-        assert lock._read_streak == 0
-
-    def test_writer_completes_under_continuous_read_stream(self):
-        """The degraded-mode regression: a writer queued behind an
-        unbroken stream of admitted reads must still get in."""
-        lock = RWLock(fairness_bound=8, yield_s=0.0005)
-        stop = threading.Event()
-        wrote = threading.Event()
-
-        def reader():
-            while not stop.is_set():
-                with lock.read():
-                    time.sleep(0.0002)
-
-        readers = [
-            threading.Thread(target=reader, daemon=True)
-            for __ in range(4)
-        ]
-        for thread in readers:
-            thread.start()
-        time.sleep(0.02)  # the read stream is in full swing
-
-        def writer():
-            with lock.write():
-                wrote.set()
-
-        pen = threading.Thread(target=writer, daemon=True)
-        pen.start()
-        finished = wrote.wait(timeout=5)
-        stop.set()
-        pen.join(timeout=5)
-        for thread in readers:
-            thread.join(timeout=5)
-        assert finished, "writer starved behind the read stream"
 
 
 class TestReportRows:

@@ -1,11 +1,11 @@
 """Tests for the hardened concurrent serving layer (repro.serve)."""
 
 import json
-import threading
 
 import pytest
 
 from repro.core import build_learned_emulator
+from repro.obs import ObsPlane
 from repro.resilience.chaos import ChaosEngine, ChaosProxy, HOSTILE_PROFILE
 from repro.resilience.policy import VirtualClock
 from repro.resilience.ratelimit import TokenBucket
@@ -13,10 +13,10 @@ from repro.serve import (
     AdmissionController,
     AdmittedLog,
     ConcurrentEmulator,
+    EXPIRED_CODE,
     FrontDoor,
     LoadGenerator,
     OVERLOADED,
-    RWLock,
     THROTTLED,
 )
 from repro.telemetry import Telemetry
@@ -29,66 +29,6 @@ def build():
 
 def make_front(build, **kwargs):
     return FrontDoor(build.module, build.make_backend, **kwargs)
-
-
-class TestRWLock:
-    def test_readers_share(self):
-        lock = RWLock()
-        both_in = threading.Barrier(2, timeout=5)
-
-        def reader():
-            with lock.read():
-                both_in.wait()  # only passes if both hold it at once
-
-        threads = [threading.Thread(target=reader) for __ in range(2)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=5)
-        assert not any(t.is_alive() for t in threads)
-
-    def test_writer_excludes_readers(self):
-        lock = RWLock()
-        order = []
-        writer_in = threading.Event()
-
-        def writer():
-            with lock.write():
-                writer_in.set()
-                order.append("write-start")
-                order.append("write-end")
-
-        def reader():
-            writer_in.wait(timeout=5)
-            with lock.read():
-                order.append("read")
-
-        w, r = threading.Thread(target=writer), threading.Thread(
-            target=reader
-        )
-        w.start(), r.start()
-        w.join(timeout=5), r.join(timeout=5)
-        assert order == ["write-start", "write-end", "read"]
-
-    def test_writer_preference_blocks_new_readers(self):
-        lock = RWLock()
-        lock.acquire_read()
-        write_done = threading.Event()
-
-        def writer():
-            with lock.write():
-                write_done.set()
-
-        thread = threading.Thread(target=writer)
-        thread.start()
-        # A waiting writer parks new readers behind it.
-        import time
-
-        time.sleep(0.05)
-        assert not write_done.is_set()
-        lock.release_read()
-        thread.join(timeout=5)
-        assert write_done.is_set()
 
 
 class TestTokenBucket:
@@ -126,7 +66,7 @@ class TestReadOnlyClassification:
         assert build.make_backend().read_only("NoSuchApi")
 
     def test_concurrent_emulator_requires_classifier(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="has no read_only"):
             ConcurrentEmulator(object())
 
 
@@ -210,6 +150,51 @@ class TestTenancy:
         assert body_a["ResponseMetadata"]["RequestId"] == (
             body_b["ResponseMetadata"]["RequestId"]
         )
+
+
+class TestWireHandle:
+    """``FrontDoor.handle`` is ``dispatch`` behind a JSON codec."""
+
+    def test_expired_deadline_write_is_shed_not_executed(self, build):
+        front = make_front(build)
+        reply = json.loads(front.handle(json.dumps({
+            "Action": "CreateVpc",
+            "Parameters": {"CidrBlock": "10.0.0.0/16"},
+            "DeadlineSeconds": -1.0,
+        }), api_key="t"))
+        assert reply["Error"]["Code"] == EXPIRED_CODE
+        assert reply["Error"]["ExpiredBeforeDispatch"] is True
+        assert len(front.admitted) == 0
+        registry = front.router.get("t").emulator.snapshot()
+        assert registry == build.make_backend().snapshot()
+
+    def test_handle_opens_an_obs_root_span(self, build):
+        telemetry = Telemetry(service="ec2")
+        ObsPlane(telemetry, seed=3, sample_keep=1.0)
+        front = make_front(build, telemetry=telemetry)
+        reply = json.loads(front.handle(json.dumps({
+            "Action": "CreateVpc",
+            "Parameters": {"CidrBlock": "10.0.0.0/16"},
+        }).encode("utf-8"), api_key="t"))
+        assert "Error" not in reply
+        roots = [span for span in telemetry.tracer.walk()
+                 if span.name == "serve.request"]
+        assert len(roots) == 1
+        assert roots[0].attributes["api"] == "CreateVpc"
+
+    @pytest.mark.parametrize("payload", [
+        b"\xff\xfe{}", "{not json", json.dumps([1]), json.dumps({}),
+    ])
+    def test_bad_envelopes_answer_serialization_exception(self, build,
+                                                          payload):
+        telemetry = Telemetry(service="ec2")
+        ObsPlane(telemetry, seed=3, sample_keep=1.0)
+        front = make_front(build, telemetry=telemetry)
+        reply = json.loads(front.handle(payload, api_key="t"))
+        assert reply["Error"]["Code"] == "SerializationException"
+        assert reply["ResponseMetadata"]["RequestId"]
+        assert not [span for span in telemetry.tracer.walk()
+                    if span.name == "serve.request"]
 
 
 class TestAdmission:

@@ -8,6 +8,7 @@ concurrent load, gated on the extended linearizability check and
 byte-identical recovery.
 """
 
+import os
 import threading
 import time
 
@@ -30,8 +31,13 @@ from repro.serve import (
     shard_for,
 )
 from repro.serve.loadgen import _canonical
-from repro.serve.shard import CRASH_EXIT_CODE, WORKER_KILL_SITES
-from repro.spec import parse_module
+from repro.serve.shard import (
+    CRASH_EXIT_CODE,
+    WORKER_KILL_SITES,
+    ShardConfig,
+    _ShardWorker,
+)
+from repro.spec import parse_module, serialize_module
 
 from .test_interpreter import PUBLIC_IP_MODULE
 
@@ -158,6 +164,42 @@ class TestShardLog:
         # The next append reuses the seq the torn attempt never earned.
         assert recovered.append("t", "CreatePublicIP", {"region": "r"}) == 2
         recovered.close()
+
+
+class TestShardWorkerSnapshots:
+    """A worker's periodic snapshots follow ``ShardConfig.fsync`` the
+    way its WAL does."""
+
+    @staticmethod
+    def _fsyncs(tmp_path, monkeypatch, fsync):
+        calls = []
+        real_fsync = os.fsync
+
+        def counting_fsync(fd):
+            calls.append(fd)
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", counting_fsync)
+        module = toy_module()
+        worker = _ShardWorker(ShardConfig(
+            index=0, module_text=serialize_module(module),
+            service=module.service, provider=module.provider,
+            notfound_codes={}, data_dir=str(tmp_path),
+            snapshot_interval=3, fsync=fsync,
+        ))
+        for __ in range(3):
+            assert worker.invoke(
+                "t", "CreatePublicIP", {"region": "us-east"}
+            ).success
+        worker.log.close()
+        assert worker._snapshot_path("t").exists()
+        return len(calls)
+
+    def test_no_fsync_when_disabled(self, tmp_path, monkeypatch):
+        assert self._fsyncs(tmp_path, monkeypatch, fsync=False) == 0
+
+    def test_fsync_when_enabled(self, tmp_path, monkeypatch):
+        assert self._fsyncs(tmp_path, monkeypatch, fsync=True) >= 1
 
 
 class TestSupervisor:
@@ -545,4 +587,4 @@ class TestShardedSoak:
                 assert admitted.get(shard, 0) > 0
             merged = front.mvcc_stats()
             assert merged["publishes"] > 0
-            assert merged["read_lock_acquisitions"] == 0
+            assert merged["pinned_reads"] > 0
