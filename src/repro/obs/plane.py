@@ -55,28 +55,26 @@ INFRA_CODES = frozenset({
 
 
 class ObsPlane:
-    """One serving run's live observability: windows, SLOs, sampling."""
+    """One serving run's live observability: windows, SLOs, sampling.
+
+    The windowed store keeps :class:`WindowedStore`'s default window
+    width and ring capacity, and the tail sampler its default slow
+    threshold; ``sample_keep`` is the healthy-trace keep rate.
+    """
 
     def __init__(
         self,
         telemetry,
         seed: int = 7,
-        resolution: float = 0.25,
-        capacity: int = 4096,
         slos: "list[SLOSpec] | None" = None,
         sample_keep: float = 0.05,
-        slow_threshold_s: float = 1.0,
         drift_rate: float = 0.0,
     ):
         self.telemetry = telemetry
         self.clock = telemetry.clock
-        self.store = WindowedStore(resolution=resolution, capacity=capacity)
+        self.store = WindowedStore()
         self.slo = SLOEngine(self.store, slos or [])
-        self.sampler = TailSampler(
-            keep_rate=sample_keep,
-            slow_threshold_s=slow_threshold_s,
-            seed=seed,
-        )
+        self.sampler = TailSampler(keep_rate=sample_keep, seed=seed)
         self._trace_ids = TraceIdAllocator(seed)
         self.drift = None
         if drift_rate > 0:

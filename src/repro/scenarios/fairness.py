@@ -29,7 +29,7 @@ The driver is single-threaded and event-ordered on the virtual clock
 (a heap of per-client next-fire instants), so every run is exactly
 reproducible: ratios in CI gate real regressions, not scheduling
 noise.  Clients honor Retry-After with full jitter and re-offer shed
-requests up to ``max_attempts`` times, so a request's latency is its
+requests up to ``MAX_ATTEMPTS`` times, so a request's latency is its
 honest time-to-outcome including backoff.
 """
 
@@ -41,11 +41,15 @@ import random
 from ..serve.allocation import AllocationConfig
 from ..serve.frontdoor import FrontDoor
 from ..serve.loadgen import (
+    MAX_RETRY_AFTER,
     SHED_CODES,
     _TrafficModel,
     verify_linearizable,
 )
 from ..telemetry import Telemetry
+
+#: Tries per request (the first offer plus re-offers after a shed).
+MAX_ATTEMPTS = 5
 
 
 def _percentile(values: list, fraction: float) -> float:
@@ -62,19 +66,15 @@ def drive_fair_load(
     seconds: float,
     seed: int = 7,
     read_ratio: float = 0.6,
-    deadline: float | None = None,
-    retry_shed: bool = False,
-    max_attempts: int = 5,
-    max_retry_after: float = 5.0,
 ) -> dict:
     """Drive ``clients`` (``[(tenant, rate), ...]``) for ``seconds``
     of virtual time, single-threaded and deterministic.
 
     Each client offers requests at its rate; a shed answer is retried
-    after a full-jittered Retry-After wait (marked ``Retry: true``
-    when ``retry_shed``), up to ``max_attempts`` tries.  Returns
-    per-tenant ``{offered, admitted, shed, expired, retry_exhausted,
-    gave_up, goodput_rps, p50_s, p99_s}`` plus the elapsed window.
+    after a full-jittered Retry-After wait, up to ``MAX_ATTEMPTS``
+    tries.  Returns per-tenant ``{offered, admitted, shed, expired,
+    retry_exhausted, gave_up, goodput_rps, p50_s, p99_s}`` plus the
+    elapsed window.
     """
     probe = front.emulator_factory()
     model = _TrafficModel(front.module, probe.read_only)
@@ -120,10 +120,6 @@ def drive_fair_load(
             entry["stats"]["offered"] += 1
         api, params, __ = entry["pending"]
         envelope = {"Action": api, "Parameters": params}
-        if deadline is not None:
-            envelope["DeadlineSeconds"] = deadline
-        if retrying and retry_shed:
-            envelope["Retry"] = True
         entry["attempts"] += 1
         body = front.dispatch(envelope, api_key=tenant)
         error = body.get("Error") or {}
@@ -145,8 +141,8 @@ def drive_fair_load(
         if error.get("ExpiredBeforeDispatch") is True:
             stats["expired"] += 1
         elif is_shed:
-            if entry["attempts"] < max_attempts:
-                cap = min(float(hint), max_retry_after)
+            if entry["attempts"] < MAX_ATTEMPTS:
+                cap = min(float(hint), MAX_RETRY_AFTER)
                 wait = max(rng.uniform(0.0, cap), 1e-6)
                 heapq.heappush(heap, (now + wait, index, tenant))
                 done = False

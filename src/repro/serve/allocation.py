@@ -46,6 +46,16 @@ from dataclasses import dataclass, field
 from ..resilience.policy import VirtualClock
 from ..resilience.ratelimit import TokenBucket
 
+#: Weight of a tenant missing from ``AllocationConfig.weights``.
+DEFAULT_WEIGHT = 1.0
+
+#: EWMA smoothing factor for observed per-tenant demand.
+DEMAND_ALPHA = 0.5
+
+#: Margin a satisfied tenant keeps above its observed demand before
+#: donating the rest of its fair share.
+DEMAND_HEADROOM = 1.25
+
 
 @dataclass
 class AllocationConfig:
@@ -55,9 +65,9 @@ class AllocationConfig:
     virtual second and its burst allowance; ``total_slots`` and
     ``total_queue`` bound in-service and queued requests.  ``weights``
     maps tenant name -> weight (missing tenants get
-    ``default_weight``); grants are max-min fair in proportion to
-    weight.  ``demand_headroom`` lets a satisfied tenant keep a margin
-    above its observed demand before donating the rest.  ``min_rate``
+    ``DEFAULT_WEIGHT``); grants are max-min fair in proportion to
+    weight, and a satisfied tenant keeps ``DEMAND_HEADROOM`` times
+    its observed demand before donating the rest.  ``min_rate``
     is the floor every tenant keeps so it can re-establish demand
     after an idle or throttled spell.
     """
@@ -67,10 +77,7 @@ class AllocationConfig:
     total_slots: int = 16
     total_queue: int = 64
     weights: dict = field(default_factory=dict)
-    default_weight: float = 1.0
     realloc_interval: float = 1.0
-    demand_alpha: float = 0.5
-    demand_headroom: float = 1.25
     retry_rate_fraction: float = 0.1
     retry_burst: float = 5.0
     min_rate: float = 0.5
@@ -189,9 +196,7 @@ class HolisticAllocator:
             alloc = self._tenants.get(name)
             if alloc is None:
                 config = self.config
-                weight = float(config.weights.get(
-                    name, config.default_weight
-                ))
+                weight = float(config.weights.get(name, DEFAULT_WEIGHT))
                 bucket = TokenBucket(
                     rate=max(config.min_rate, config.total_rate),
                     burst=config.total_burst, clock=self.clock,
@@ -280,11 +285,11 @@ class HolisticAllocator:
         #    and leave the window accruing.
         if elapsed >= 1e-3:
             self._last_realloc = now
-            alpha = config.demand_alpha
             for alloc in tenants:
                 observed = alloc.arrivals / elapsed
                 alloc.demand = (
-                    alpha * observed + (1 - alpha) * alloc.demand
+                    DEMAND_ALPHA * observed
+                    + (1 - DEMAND_ALPHA) * alloc.demand
                 )
                 alloc.arrivals = 0
 
@@ -303,8 +308,7 @@ class HolisticAllocator:
         #    demand target is below their offer take only the target
         #    and donate the rest to the still-hungry.
         active = {
-            a.name: max(config.min_rate,
-                        a.demand * config.demand_headroom)
+            a.name: max(config.min_rate, a.demand * DEMAND_HEADROOM)
             for a in live
         }
         weights = {a.name: a.weight for a in live}

@@ -46,7 +46,8 @@ class ConfigError(ValueError):
     features are configured together that do not compose yet, with a
     message naming the gap and the roadmap item tracking it.  The
     canonical case today: :class:`~repro.serve.shard.ShardedFrontDoor`
-    with ``network=`` (shard × region placement, ROADMAP item 1).
+    with ``network=`` (the ROADMAP "Deferred" entry "Shard × region
+    composition").
     """
 
 
@@ -151,9 +152,9 @@ class FrontDoor:
     wrap:
         Optional proxy stack (e.g. a chaos wrapper) interposed between
         admission and the concurrency layer, per tenant.
-    rate / burst / max_concurrent / queue_depth / degrade_after /
-    recover_after:
-        Admission-control knobs (see :class:`AdmissionController`).
+    rate / burst / max_concurrent / queue_depth:
+        Admission-control knobs (see :class:`AdmissionController`;
+        degraded mode keeps its defaults there).
     allocation:
         Optional :class:`~repro.serve.allocation.AllocationConfig`.
         When given, admission switches from independent per-tenant
@@ -193,8 +194,6 @@ class FrontDoor:
         burst: float = 20.0,
         max_concurrent: int = 16,
         queue_depth: int = 64,
-        degrade_after: int = 8,
-        recover_after: int = 1,
         allocation=None,
         max_tenants: int = 32,
         require_key: bool = False,
@@ -228,7 +227,6 @@ class FrontDoor:
         self.admission = AdmissionController(
             clock=self.clock, rate=rate, burst=burst,
             max_concurrent=max_concurrent, queue_depth=queue_depth,
-            degrade_after=degrade_after, recover_after=recover_after,
             allocator=allocator, telemetry=telemetry,
         )
         self.router = TenantRouter(

@@ -119,6 +119,9 @@ class LoadReport:
 #: Shed codes the admission layer produces.
 SHED_CODES = frozenset({"RequestLimitExceeded", "ServiceUnavailable"})
 
+#: Cap, in virtual seconds, on one honored Retry-After wait.
+MAX_RETRY_AFTER = 5.0
+
 
 class _TrafficModel:
     """Seeded request synthesis over one module's API surface."""
@@ -212,9 +215,7 @@ class LoadGenerator:
         read_ratio: float = 0.7,
         tenants: int = 1,
         offered_rate: float | None = None,
-        latency: float = 0.0,
         honor_retry_after: bool = True,
-        max_retry_after: float = 5.0,
         aggressor: str | None = None,
         aggressor_weight: float = 10.0,
         deadline: float | None = None,
@@ -231,14 +232,12 @@ class LoadGenerator:
         #: Requests per virtual clock-second offered to the buckets
         #: (None: advance the clock generously so rate never sheds).
         self.offered_rate = offered_rate
-        self.latency = latency
         #: Back off by the admission layer's own Retry-After hint —
         #: *full-jittered*: the actual wait is uniform in
-        #: ``[0, min(hint, max_retry_after)]``, so a cohort of shed
+        #: ``[0, min(hint, MAX_RETRY_AFTER)]``, so a cohort of shed
         #: clients desynchronizes instead of returning as one
         #: thundering herd when the hint elapses.
         self.honor_retry_after = honor_retry_after
-        self.max_retry_after = max_retry_after
         #: The noisy neighbor: this tenant is offered
         #: ``aggressor_weight`` times more traffic than each victim.
         self.aggressor = aggressor
@@ -294,8 +293,6 @@ class LoadGenerator:
                 clock.sleep(pace)
             else:
                 clock.sleep(1.0)  # unconstrained: buckets never empty
-            if self.latency:
-                time.sleep(self.latency)
             envelope = {"Action": api, "Parameters": params}
             if self.deadline is not None:
                 envelope["DeadlineSeconds"] = self.deadline
@@ -328,7 +325,7 @@ class LoadGenerator:
                     # Full jitter (AWS-style): sleep uniform in
                     # [0, min(hint, cap)] so a cohort of shed clients
                     # returns spread out, not as a synchronized herd.
-                    cap = min(float(hint), self.max_retry_after)
+                    cap = min(float(hint), MAX_RETRY_AFTER)
                     delay = rng.uniform(0.0, cap)
                     clock.sleep(delay)
                     honored += 1

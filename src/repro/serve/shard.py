@@ -48,7 +48,7 @@ import tempfile
 import threading
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from ..durability.journal import JournalWriter, scan_records
@@ -80,6 +80,16 @@ SHARD_WAL_NAME = "shard.wal"
 #: process dies with no cleanup, no reply and no flushes, the way
 #: ``kill -9`` would.
 CRASH_EXIT_CODE = 23
+
+#: Wall seconds the parent waits on one shard RPC reply (and on a
+#: worker's shutdown acknowledgement) before calling the shard down.
+RPC_TIMEOUT = 30.0
+
+#: Wall seconds a freshly spawned worker has to recover and say hello.
+SPAWN_TIMEOUT = 60.0
+
+#: Wall seconds between heartbeat ticks when ``heartbeat=True``.
+HEARTBEAT_INTERVAL = 0.2
 
 #: The kill sites a worker process can die at (all of them reachable
 #: from the serve path; the build-side sites never fire in a worker).
@@ -542,10 +552,7 @@ class ShardSupervisor:
         fsync: bool = False,
         kill_schedules: dict | None = None,
         retry_after: float = 0.25,
-        rpc_timeout: float = 30.0,
-        spawn_timeout: float = 60.0,
         heartbeat: bool = False,
-        heartbeat_interval: float = 0.2,
         heartbeat_timeout: float = 1.0,
         max_misses: int = 3,
         auto_restart: bool = True,
@@ -560,9 +567,6 @@ class ShardSupervisor:
         self.snapshot_interval = snapshot_interval
         self.fsync = fsync
         self.retry_after = retry_after
-        self.rpc_timeout = rpc_timeout
-        self.spawn_timeout = spawn_timeout
-        self.heartbeat_interval = heartbeat_interval
         self.heartbeat_timeout = heartbeat_timeout
         self.max_misses = max_misses
         self.auto_restart = auto_restart
@@ -633,7 +637,7 @@ class ShardSupervisor:
         )
         process.start()
         child_conn.close()
-        deadline = time.monotonic() + self.spawn_timeout
+        deadline = time.monotonic() + SPAWN_TIMEOUT
         while not parent_conn.poll(0.05):
             if time.monotonic() > deadline or not process.is_alive():
                 process.terminate()
@@ -673,7 +677,7 @@ class ShardSupervisor:
         stale replies left over from a previously timed-out request.
         """
         handle = self._handles[index]
-        timeout = self.rpc_timeout if timeout is None else timeout
+        timeout = RPC_TIMEOUT if timeout is None else timeout
         with handle.lock:
             if not handle.process.is_alive():
                 self._note_down(handle)
@@ -922,7 +926,7 @@ class ShardSupervisor:
         self._hb_stop = threading.Event()
 
         def _loop():
-            while not self._hb_stop.wait(self.heartbeat_interval):
+            while not self._hb_stop.wait(HEARTBEAT_INTERVAL):
                 try:
                     self.tick()
                 except Exception:
@@ -1027,7 +1031,7 @@ class ShardSupervisor:
                     mid = handle.next_id
                     try:
                         handle.conn.send({"op": "shutdown", "id": mid})
-                        deadline = time.monotonic() + self.rpc_timeout
+                        deadline = time.monotonic() + RPC_TIMEOUT
                         while time.monotonic() < deadline:
                             if handle.conn.poll(0.05):
                                 reply = handle.conn.recv()
@@ -1195,7 +1199,10 @@ class ShardedFrontDoor(FrontDoor):
     shard snapshots — with recovery self-check failures folded in) and
     :meth:`mvcc_stats` (worker version accounting, merged);
     :class:`~repro.serve.loadgen.LoadGenerator` picks both up
-    automatically.
+    automatically.  The supervisor runs with its default heartbeat
+    miss policy and the module's ``RPC_TIMEOUT`` /
+    ``HEARTBEAT_INTERVAL``; not-found codes come from the probe
+    emulator.
     """
 
     def __init__(
@@ -1205,15 +1212,10 @@ class ShardedFrontDoor(FrontDoor):
         shards: int = 4,
         data_dir: "str | Path | None" = None,
         kill_schedules: dict | None = None,
-        notfound_codes: dict | None = None,
         snapshot_interval: int = 16,
         fsync: bool = False,
         retry_after: float = 0.25,
-        rpc_timeout: float = 30.0,
         heartbeat: bool = False,
-        heartbeat_interval: float = 0.2,
-        heartbeat_timeout: float = 1.0,
-        max_misses: int = 3,
         auto_restart: bool = True,
         **kwargs,
     ):
@@ -1225,18 +1227,17 @@ class ShardedFrontDoor(FrontDoor):
                 "region replica) are separate maps with no "
                 "cross-product routing — a request would need a "
                 "(shard, region) pair the RPC layer cannot address.  "
-                "Track ROADMAP item 1 (shard x region placement); "
-                "until then run the network on a single-process "
-                "FrontDoor."
+                "Combining them (shard x region placement) is the "
+                "ROADMAP \"Deferred\" entry \"Shard × region "
+                "composition\"; until then run the network on a "
+                "single-process FrontDoor."
             )
         super().__init__(module, emulator_factory, **kwargs)
         probe = emulator_factory()
-        if notfound_codes is None:
-            notfound_codes = dict(getattr(probe, "notfound_codes", {}))
         base = self.router
         self.supervisor = ShardSupervisor(
             module,
-            notfound_codes=notfound_codes,
+            notfound_codes=dict(getattr(probe, "notfound_codes", {})),
             shards=shards,
             data_dir=data_dir,
             clock=self.clock,
@@ -1246,11 +1247,7 @@ class ShardedFrontDoor(FrontDoor):
             fsync=fsync,
             kill_schedules=kill_schedules,
             retry_after=retry_after,
-            rpc_timeout=rpc_timeout,
             heartbeat=heartbeat,
-            heartbeat_interval=heartbeat_interval,
-            heartbeat_timeout=heartbeat_timeout,
-            max_misses=max_misses,
             auto_restart=auto_restart,
         )
         self.router = ShardTenantRouter(

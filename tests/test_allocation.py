@@ -17,6 +17,7 @@ from repro.serve import (
     OVERLOADED,
     request_meta,
 )
+from repro.serve.loadgen import MAX_RETRY_AFTER
 
 
 @pytest.fixture(scope="module")
@@ -347,7 +348,7 @@ class TestLoadGenJitter:
             # Full jitter: the slept wait is sampled from
             # [0, min(hint, cap)] and logged alongside the hint.
             assert record["jittered"] == record["honored"]
-            cap = min(record["hint"], generator.max_retry_after)
+            cap = min(record["hint"], MAX_RETRY_AFTER)
             assert 0.0 <= record["jittered"] <= cap + 1e-9
         # A uniform draw that never lands below half the hint in a
         # dozen samples would be astronomically unlikely: jitter is

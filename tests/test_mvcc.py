@@ -163,6 +163,62 @@ class TestConcurrentEmulatorMvcc:
         assert stats["pinned_reads"] == 20
         assert stats["publishes"] >= 2
 
+    def test_reads_never_wait_for_a_parked_writer(self, build):
+        """A writer parked inside the writer mutex must not stall any
+        read: every read pins a published version instead."""
+        backend = build.make_backend()
+        emulator = ConcurrentEmulator(backend)
+        created = emulator.invoke(
+            "CreateVpc", {"CidrBlock": "10.0.0.0/16"}
+        )
+        assert created.success
+        params = {"VpcId": created.data["id"]}
+
+        parked = threading.Event()
+        release = threading.Event()
+        real_invoke = backend.invoke
+
+        def parking_invoke(api, params=None):
+            parked.set()
+            assert release.wait(30), "writer never released"
+            return real_invoke(api, params)
+
+        backend.invoke = parking_invoke
+        writer = threading.Thread(
+            target=emulator.invoke,
+            args=("CreateVpc", {"CidrBlock": "10.1.0.0/16"}),
+            daemon=True,
+        )
+        writer.start()
+        try:
+            assert parked.wait(10), "writer never reached the emulator"
+            assert emulator._writer.locked()
+            before = emulator.version_stats()["pinned_reads"]
+            failures = []
+
+            def reader():
+                for __ in range(50):
+                    response = emulator.invoke("DescribeVpcs", params)
+                    if not response.success:
+                        failures.append(response)
+
+            readers = [threading.Thread(target=reader, daemon=True)
+                       for __ in range(4)]
+            for thread in readers:
+                thread.start()
+            for thread in readers:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in readers)
+            assert failures == []
+            stats = emulator.version_stats()
+            assert stats["pinned_reads"] - before == 200
+            assert emulator._writer.locked()
+        finally:
+            release.set()
+            writer.join(timeout=30)
+        assert not writer.is_alive()
+        assert not emulator._writer.locked()
+
     def test_forcing_mvcc_without_the_surface_is_an_error(self):
         class _Opaque:
             def read_only(self, api):

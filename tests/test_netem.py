@@ -43,6 +43,7 @@ from repro.scenarios.geo import (
     partition_heal_convergence,
 )
 from repro.serve import FrontDoor, LoadGenerator
+from repro.serve.loadgen import MAX_RETRY_AFTER
 from repro.telemetry import Telemetry
 
 
@@ -544,7 +545,7 @@ class TestRetryAfterHonored:
         assert report.retry_after_log
         for record in report.retry_after_log:
             assert record["honored"] <= record["hint"] or (
-                record["honored"] == generator.max_retry_after
+                record["honored"] == MAX_RETRY_AFTER
             )
             assert record["code"] in {"RequestLimitExceeded",
                                       "ServiceUnavailable"}
