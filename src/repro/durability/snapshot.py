@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from ..interpreter.machine import MachineInstance, Registry
+from ..interpreter.machine import InstanceMap, MachineInstance, Registry
 from .atomic import atomic_write
 from .journal import DurabilityError
 
@@ -82,12 +82,13 @@ def decode_value(value: object) -> object:
     return value
 
 
-def _dump_state(counters: dict, instances: dict, placements: dict) -> dict:
+def _dump_state(counters: dict, instances: InstanceMap,
+                placements: dict) -> dict:
     """The shared dump body: counters, encoded instances, placements.
 
-    Instance order matters: the instances dict order *is* creation
-    order, and dependency scans iterate it — a restore that reordered
-    instances would be observably different.
+    Instance order matters: the instance map's iteration order *is*
+    creation order, and dependency scans iterate it — a restore that
+    reordered instances would be observably different.
     """
     dump = {
         "counters": dict(counters),
@@ -171,6 +172,7 @@ def restore_registry(snapshot: dict, machines: dict) -> Registry:
     registry = Registry()
     registry._counters.update(snapshot.get("counters", {}))
     registry.placements.update(snapshot.get("placements", {}))
+    base = {}
     for entry in snapshot.get("instances", []):
         sm_name = entry["sm"]
         spec = machines.get(sm_name)
@@ -179,7 +181,7 @@ def restore_registry(snapshot: dict, machines: dict) -> Registry:
                 f"snapshot references SM {sm_name!r} which the loaded "
                 "module does not define"
             )
-        instance = MachineInstance(
+        base[entry["id"]] = MachineInstance(
             id=entry["id"],
             spec=spec,
             state={
@@ -188,7 +190,9 @@ def restore_registry(snapshot: dict, machines: dict) -> Registry:
             },
             parent_id=entry.get("parent_id", ""),
         )
-        registry.instances[instance.id] = instance
+    # The restored instances become the map's ``base`` in one step:
+    # nothing is routed through the live write path.
+    registry.instances = InstanceMap(base)
     return registry
 
 

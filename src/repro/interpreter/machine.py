@@ -56,7 +56,11 @@ class Transaction:
             return None
         if instance_id in self._created:
             return self._created[instance_id]
-        return self.registry.instances.get(instance_id)
+        instances = self.registry.instances
+        delta = instances.delta
+        return (delta if instance_id in delta else instances.base).get(
+            instance_id
+        )
 
     def get_state(self, instance_id: str, name: str) -> object:
         pending = self._writes.get(instance_id)
@@ -104,18 +108,19 @@ class Transaction:
 
         Commit is copy-on-write: an instance that existed before this
         transaction is *replaced* by a fresh :class:`MachineInstance`
-        carrying the merged state, never mutated in place.  A
+        carrying the merged state, never mutated in place, and every
+        change lands in the live :class:`InstanceMap`'s ``delta``.  A
         published :class:`RegistryVersion` therefore shares untouched
-        instances with the live registry structurally, and a pinned
-        reader can never observe a half-applied commit — the MVCC
-        serve path depends on it.  (State *values* are already safe to
-        share: the spec language treats lists and maps as values, so
-        builtins return fresh objects instead of mutating.)
+        instances (and the whole ``base``) with the live registry, and
+        a pinned reader can never observe a half-applied commit — the
+        MVCC serve path depends on it.  (State *values* are already
+        safe to share: the spec language treats lists and maps as
+        values, so builtins return fresh objects instead of mutating.)
         """
         registry = self.registry
         instances = registry.instances
         for instance in self._created.values():
-            instances[instance.id] = instance
+            instances.set(instance.id, instance)
         for instance_id, writes in self._writes.items():
             if instance_id in self._deleted:
                 continue
@@ -126,16 +131,17 @@ class Transaction:
                 continue
             target = instances.get(instance_id)
             if target is not None:
-                # Replacing at an existing key keeps dict (creation)
-                # order, which snapshots and dependency scans rely on.
-                instances[instance_id] = MachineInstance(
+                # A replacement keeps the id's slot in iteration
+                # (creation) order, which snapshots and dependency
+                # scans rely on.
+                instances.set(instance_id, MachineInstance(
                     id=target.id,
                     spec=target.spec,
                     state={**target.state, **writes},
                     parent_id=target.parent_id,
-                )
+                ))
         for instance_id in self._deleted:
-            instances.pop(instance_id, None)
+            instances.discard(instance_id)
         if self._created or self._writes or self._deleted:
             registry.mutations += 1
 
@@ -152,7 +158,8 @@ class ReadOnlyView:
     ``registry`` may be the live :class:`Registry` or a pinned
     :class:`RegistryVersion` — only the ``instances`` map is read, so
     the MVCC serve path reuses this view unchanged over immutable
-    versions.
+    versions.  Lookups go straight to the map's ``delta`` and ``base``
+    dicts: two C-level dict operations, no Python-level call.
     """
 
     __slots__ = ("registry",)
@@ -161,16 +168,28 @@ class ReadOnlyView:
         self.registry = registry
 
     def instance(self, instance_id: str) -> MachineInstance | None:
-        return self.registry.instances.get(instance_id)
+        instances = self.registry.instances
+        delta = instances.delta
+        return (delta if instance_id in delta else instances.base).get(
+            instance_id
+        )
 
     def get_state(self, instance_id: str, name: str) -> object:
-        instance = self.registry.instances.get(instance_id)
+        instances = self.registry.instances
+        delta = instances.delta
+        instance = (delta if instance_id in delta else instances.base).get(
+            instance_id
+        )
         if instance is None:
             raise CloudError(INTERNAL_FAILURE, f"dangling reference {instance_id}")
         return instance.state.get(name)
 
     def state_of(self, instance_id: str) -> dict[str, object]:
-        instance = self.registry.instances.get(instance_id)
+        instances = self.registry.instances
+        delta = instances.delta
+        instance = (delta if instance_id in delta else instances.base).get(
+            instance_id
+        )
         if instance is None:
             raise CloudError(INTERNAL_FAILURE, f"dangling reference {instance_id}")
         return instance.state
@@ -226,15 +245,142 @@ class Handle:
         return f"Handle({self.instance_id})"
 
 
-class RegistryVersion:
+class InstanceMap:
+    """Instance id -> :class:`MachineInstance`, copy-on-write in two levels.
+
+    ``base`` is a plain dict that is never mutated once a published
+    version shares it.  ``delta`` holds what changed since the last
+    compaction: replacements, creations, and ``None`` tombstones for
+    deleted ``base`` entries.  The live registry writes only into
+    ``delta``, and :meth:`freeze` hands a version the shared
+    ``base`` plus a copy of ``delta``, so publishing costs
+    O(``len(delta)``), not O(live instances).  Once ``len(delta)``
+    exceeds about 2·√n, the live map folds ``delta`` into a *new*
+    ``base`` and starts an empty ``delta`` — each compaction costs
+    O(n) and comes after about 2·√n writes, so both the publish copy
+    and the amortised compaction stay O(√n) per write.
+
+    Iteration is plain-dict order: creation order, with a replacement
+    keeping its slot.  ``base | delta`` yields exactly that because
+    instance ids are never reused within one registry, which keeps
+    snapshots byte-identical to a flat dict's.  Hot read paths
+    (:class:`ReadOnlyView`, :class:`Transaction`) resolve ids through
+    ``delta``/``base`` directly rather than through :meth:`get`.
+    """
+
+    __slots__ = ("base", "delta", "_len")
+
+    def __init__(self, base: dict[str, MachineInstance] | None = None):
+        self.base: dict[str, MachineInstance] = {} if base is None else base
+        self.delta: dict[str, MachineInstance | None] = {}
+        self._len = len(self.base)
+
+    # -- reads ---------------------------------------------------------------
+
+    def get(self, instance_id: str) -> MachineInstance | None:
+        delta = self.delta
+        return (delta if instance_id in delta else self.base).get(instance_id)
+
+    def __contains__(self, instance_id: object) -> bool:
+        return self.get(instance_id) is not None
+
+    def __len__(self) -> int:
+        return self._len
+
+    def _merged(self) -> dict[str, MachineInstance | None]:
+        """``base`` overlaid with ``delta``, tombstones still in."""
+        return self.base | self.delta if self.delta else self.base
+
+    def items(self):
+        return (
+            (instance_id, instance)
+            for instance_id, instance in self._merged().items()
+            if instance is not None
+        )
+
+    def values(self):
+        return (
+            instance for instance in self._merged().values()
+            if instance is not None
+        )
+
+    def __iter__(self):
+        return (instance_id for instance_id, __ in self.items())
+
+    # -- the live map's writes -------------------------------------------------
+
+    def set(self, instance_id: str, instance: MachineInstance) -> None:
+        """Create or replace one instance."""
+        if self.get(instance_id) is None:
+            self._len += 1
+        self._put(instance_id, instance)
+
+    def discard(self, instance_id: str) -> None:
+        """Delete one instance if it is present."""
+        if self.get(instance_id) is None:
+            return
+        self._len -= 1
+        if instance_id in self.base:
+            self._put(instance_id, None)
+        else:
+            del self.delta[instance_id]
+
+    def _put(self, instance_id: str, instance: MachineInstance | None) -> None:
+        delta = self.delta
+        delta[instance_id] = instance
+        if len(delta) ** 2 > 4 * max(self._len, 1024):
+            # A *new* base (``delta`` is non-empty, so ``base | delta``
+            # copies): published versions still share the old one.
+            base = self._merged()
+            for gone in [key for key, value in delta.items() if value is None]:
+                del base[gone]
+            self.base = base
+            self.delta = {}
+
+    def freeze(self) -> "InstanceMap":
+        """An immutable copy for a published version: shares ``base``."""
+        frozen = InstanceMap.__new__(InstanceMap)
+        frozen.base = self.base
+        frozen.delta = self.delta.copy()
+        frozen._len = self._len
+        return frozen
+
+
+class _RegistryReads:
+    """The read surface :class:`Registry` and :class:`RegistryVersion`
+    share: both carry ``instances`` (an :class:`InstanceMap`) and
+    ``placements``."""
+
+    __slots__ = ()
+
+    def get(self, instance_id: str) -> MachineInstance | None:
+        return self.instances.get(instance_id)
+
+    def of_type(self, sm_name: str) -> list[MachineInstance]:
+        return [
+            instance
+            for instance in self.instances.values()
+            if instance.type_name == sm_name
+        ]
+
+    def region_of(self, instance_id: str, default: str = "") -> str:
+        return self.placements.get(instance_id, default)
+
+    def __len__(self) -> int:
+        return len(self.instances)
+
+
+class RegistryVersion(_RegistryReads):
     """One immutable published registry state (MVCC read snapshot).
 
     Built by :meth:`Registry.publish` under the serve layer's writer
     mutex and handed to readers, which dispatch against it with zero
-    locking.  The ``instances`` map is a shallow copy of the live
-    registry's — safe because :meth:`Transaction.commit` replaces
-    rather than mutates committed instances — so publishing is O(live
-    instances) pointer copies, and consecutive versions share every
+    locking.  ``instances`` is a frozen :class:`InstanceMap` that
+    shares the live map's ``base`` and owns a copy of its small
+    ``delta`` — safe because :meth:`Transaction.commit` replaces
+    rather than mutates committed instances and never writes into a
+    shared ``base`` — so publishing costs O(instances changed since
+    the last compaction), and consecutive versions share every
     untouched instance structurally.
 
     ``wal_seq`` is stamped by the owning emulator at publish time so a
@@ -249,7 +395,7 @@ class RegistryVersion:
         "_view", "_rt",
     )
 
-    def __init__(self, version: int, instances: dict[str, MachineInstance],
+    def __init__(self, version: int, instances: InstanceMap,
                  counters: dict[str, int], placements: dict[str, str]):
         self.version = version
         self.instances = instances
@@ -258,31 +404,6 @@ class RegistryVersion:
         self.wal_seq = 0
         self._view = None
         self._rt = None
-
-    # -- the Registry read surface (duck-typed) ------------------------------
-
-    def get(self, instance_id: str) -> MachineInstance | None:
-        return self.instances.get(instance_id)
-
-    def of_type(self, sm_name: str) -> list[MachineInstance]:
-        return [
-            instance
-            for instance in self.instances.values()
-            if instance.type_name == sm_name
-        ]
-
-    def children_of(self, instance_id: str) -> list[MachineInstance]:
-        return [
-            instance
-            for instance in self.instances.values()
-            if instance.parent_id == instance_id
-        ]
-
-    def region_of(self, instance_id: str, default: str = "") -> str:
-        return self.placements.get(instance_id, default)
-
-    def __len__(self) -> int:
-        return len(self.instances)
 
     # -- mutation surface: refused loudly ------------------------------------
 
@@ -302,23 +423,26 @@ class RegistryVersion:
         self._immutable("place")
 
 
-class Registry:
+class Registry(_RegistryReads):
     """All live resources of one emulated cloud, plus ID generation.
 
     IDs are deterministic per resource type (``vpc-00000001``), so two
     runs of the same DevOps program produce identical traces — a
-    property both the tests and the alignment differ rely on.
+    property both the tests and the alignment differ rely on.  An id
+    is never reused, which is what lets :class:`InstanceMap` keep
+    plain-dict iteration order.
 
     The registry is also the MVCC publication point: every observable
     mutation bumps ``mutations``, and :meth:`publish` turns the
     current state into an immutable :class:`RegistryVersion` (cached
-    while nothing changed).  Publishing is only ever done by the serve
-    layer's single writer; plain single-threaded use never pays for
-    it.
+    while nothing changed) at a cost proportional to the instance
+    map's ``delta``, not to the registry.  Publishing is only ever
+    done by the serve layer's single writer; plain single-threaded use
+    never pays for it.
     """
 
     def __init__(self):
-        self.instances: dict[str, MachineInstance] = {}
+        self.instances = InstanceMap()
         self._counters: dict[str, int] = {}
         #: resource id -> home region, for network-realistic serving
         #: (:mod:`repro.netem`).  Empty unless a regional front door is
@@ -348,8 +472,8 @@ class Registry:
             return published
         self.version += 1
         published = RegistryVersion(
-            self.version, dict(self.instances), dict(self._counters),
-            dict(self.placements),
+            self.version, self.instances.freeze(), self._counters.copy(),
+            self.placements.copy(),
         )
         self._published = published
         self._published_tick = self.mutations
@@ -382,26 +506,3 @@ class Registry:
         else:
             self.placements.pop(instance_id, None)
         self.mutations += 1
-
-    def region_of(self, instance_id: str, default: str = "") -> str:
-        return self.placements.get(instance_id, default)
-
-    def get(self, instance_id: str) -> MachineInstance | None:
-        return self.instances.get(instance_id)
-
-    def of_type(self, sm_name: str) -> list[MachineInstance]:
-        return [
-            instance
-            for instance in self.instances.values()
-            if instance.type_name == sm_name
-        ]
-
-    def children_of(self, instance_id: str) -> list[MachineInstance]:
-        return [
-            instance
-            for instance in self.instances.values()
-            if instance.parent_id == instance_id
-        ]
-
-    def __len__(self) -> int:
-        return len(self.instances)

@@ -2,13 +2,17 @@
 and the lock-free read contract."""
 
 import json
+import random
+import sys
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
 from repro.core import build_learned_emulator
 from repro.durability.snapshot import version_dump
+from repro.interpreter.machine import ReadOnlyView, Registry, Transaction
 from repro.obs.tracectx import CURRENT_REQUEST, RequestContext
 from repro.resilience.chaos import ChaosEngine, ChaosProxy, HOSTILE_PROFILE
 from repro.serve import ConcurrentEmulator, FrontDoor, LoadGenerator
@@ -98,6 +102,176 @@ class TestRegistryVersions:
         assert _canonical(version_dump(before)) == frozen
         # ...and the restored content matches it.
         assert _canonical(version_dump(after_restore)) == frozen
+
+
+_SPEC = SimpleNamespace(name="vpc")
+
+
+def _fill(registry: Registry, count: int) -> None:
+    txn = Transaction(registry)
+    for __ in range(count):
+        txn.create(registry.create(_SPEC, {"n": -1}))
+    txn.commit()
+
+
+class TestInstanceMap:
+    """The two-level copy-on-write map against a plain dict."""
+
+    @staticmethod
+    def _assert_matches(version, reference: dict, probes) -> None:
+        instances = version.instances
+        assert len(version) == len(instances) == len(reference)
+        assert list(instances) == list(reference)
+        assert [
+            (key, instance.state) for key, instance in instances.items()
+        ] == list(reference.items())
+        assert [instance.id for instance in instances.values()] == list(
+            reference
+        )
+        view, txn = ReadOnlyView(version), Transaction(version)
+        for key in probes:
+            want = reference.get(key)
+            got = instances.get(key)
+            assert (key in instances) == (key in reference)
+            assert (None if got is None else got.state) == want
+            assert view.instance(key) is got
+            assert txn.instance(key) is got
+
+    def test_matches_a_dict_across_compactions(self):
+        rng = random.Random(17)
+        registry = Registry()
+        reference: dict[str, dict] = {}
+        seen: list[str] = []
+        pinned = []
+        base, compactions = registry.instances.base, 0
+        for step in range(1500):
+            txn = Transaction(registry)
+            for __ in range(rng.randint(1, 3)):
+                roll = rng.random()
+                live = list(reference)
+                if not live or roll < 0.45:
+                    instance = registry.create(_SPEC, {"n": step})
+                    txn.create(instance)
+                    reference[instance.id] = {"n": step}
+                    seen.append(instance.id)
+                elif roll < 0.8:
+                    key = rng.choice(live)
+                    txn.set_state(key, "n", step)
+                    reference[key] = {**reference[key], "n": step}
+                else:
+                    key = rng.choice(live)
+                    txn.mark_deleted(key)
+                    del reference[key]
+            txn.commit()
+            version = registry.publish()
+            if version.instances.base is not base:
+                base, compactions = version.instances.base, compactions + 1
+            self._assert_matches(
+                version, reference, rng.sample(seen, min(len(seen), 20))
+            )
+            if step % 100 == 0:
+                # Compaction drops tombstones: base holds live
+                # instances only.
+                assert None not in registry.instances.base.values()
+                pinned.append((version, {
+                    key: dict(state) for key, state in reference.items()
+                }))
+        # Several compactions ran, and every pinned version still reads
+        # exactly as the dict did when it was published.
+        assert compactions >= 5
+        for version, frozen in pinned:
+            self._assert_matches(version, frozen, seen)
+
+    def test_publish_shares_base_after_a_one_instance_write(self):
+        registry = Registry()
+        _fill(registry, 5000)
+        previous = registry.publish()
+        ids = list(previous.instances)
+        compacted = 0
+        for step in range(400):
+            txn = Transaction(registry)
+            txn.set_state(ids[step], "n", step)
+            txn.commit()
+            version = registry.publish()
+            if version.instances.delta:
+                # O(change): the 5,000-instance base is shared, only
+                # the small delta was copied.
+                assert version.instances.base is previous.instances.base
+                assert len(version.instances.delta) <= 2 * 5000 ** 0.5 + 1
+            else:
+                compacted += 1
+            previous = version
+        assert 1 <= compacted <= 3
+
+    def test_pinned_versions_hold_still_under_concurrent_writes(self):
+        """Readers list pinned versions while one writer commits,
+        publishes and compacts under a tiny switch interval: a shared
+        ``base`` or ``delta`` mutated after publish would tear a
+        listing."""
+        registry = Registry()
+        _fill(registry, 2000)
+        ids = list(registry.instances)
+        latest = [registry.publish()]
+        compactions = []
+        torn = []
+        listed = []
+        stop = threading.Event()
+
+        def writer():
+            rng = random.Random(5)
+            spare = None
+            step = 0
+            while not stop.is_set():
+                txn = Transaction(registry)
+                if step % 5 != 4:
+                    txn.set_state(rng.choice(ids), "n", step)
+                elif spare is None:
+                    instance = registry.create(_SPEC, {"n": step})
+                    txn.create(instance)
+                    spare = instance.id
+                else:
+                    txn.mark_deleted(spare)
+                    spare = None
+                txn.commit()
+                version = registry.publish()
+                if version.instances.base is not latest[0].instances.base:
+                    compactions.append(version.version)
+                latest[0] = version
+                step += 1
+
+        def reader():
+            while not stop.is_set():
+                version = latest[0]
+                first = [(key, instance.state)
+                         for key, instance in version.instances.items()]
+                time.sleep(0)
+                again = [(key, instance.state)
+                         for key, instance in version.instances.items()]
+                if first != again or len(first) != len(version):
+                    torn.append(version.version)
+                listed.append(version.version)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        threads = [threading.Thread(target=writer, daemon=True)] + [
+            threading.Thread(target=reader, daemon=True) for __ in range(5)
+        ]
+        try:
+            for thread in threads:
+                thread.start()
+            deadline = time.monotonic() + 10
+            while ((len(compactions) < 2 or len(set(listed)) < 20)
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(10)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(compactions) >= 2, "the writer never compacted"
+        assert len(set(listed)) >= 20
+        assert not torn
 
 
 class _FakeVersion:
@@ -261,22 +435,33 @@ class TestConcurrentEmulatorMvcc:
             self, build):
         emulator = ConcurrentEmulator(build.make_backend())
         stop = threading.Event()
+        started = threading.Event()
         failures = []
 
         def writer():
-            index = 0
+            # Create-then-delete churns a fixed-size registry, so the
+            # snapshot/restore rounds cost the same however fast the
+            # writer runs.
             while not stop.is_set():
-                emulator.invoke(
-                    "CreateVpc",
-                    {"CidrBlock": f"10.{index % 200}.0.0/16"},
+                created = emulator.invoke(
+                    "CreateVpc", {"CidrBlock": "10.0.0.0/16"}
                 )
-                index += 1
+                deleted = emulator.invoke(
+                    "DeleteVpc", {"VpcId": created.data["id"]}
+                )
+                if not deleted.success:
+                    failures.append(deleted.error_code)
+                    return
+                started.set()
 
         churn = threading.Thread(target=writer, daemon=True)
         churn.start()
+        snaps = []
         try:
+            assert started.wait(30)
             for __ in range(30):
                 snap = emulator.snapshot()
+                snaps.append(snap)
                 replica = build.make_backend()
                 replica.restore(snap)
                 if _canonical(replica.snapshot()) != _canonical(snap):
@@ -285,6 +470,10 @@ class TestConcurrentEmulatorMvcc:
             stop.set()
             churn.join()
         assert not failures
+        # Every create bumps the VPC id counter: the snapshots were
+        # taken while the registry kept moving.
+        assert (snaps[-1]["counters"]["vpc"]
+                > snaps[0]["counters"]["vpc"])
 
     def test_recover_is_atomic_for_pinned_readers(self, build):
         emulator = ConcurrentEmulator(build.make_backend())
