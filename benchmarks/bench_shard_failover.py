@@ -27,7 +27,7 @@ import threading
 import time
 
 from repro.serve import ShardedFrontDoor
-from repro.serve.loadgen import _canonical
+from repro.serve.frontdoor import canonical_snapshot
 
 #: The surviving shard must keep at least this fraction of its
 #: pre-kill read throughput while its neighbor is being repaired.
@@ -124,7 +124,7 @@ def test_failover_latency_is_bounded(learned_builds, bench_metrics,
         # Recovery restored the exact pre-kill registry (no writes
         # raced the kill, so byte-identity must hold).
         after = front.supervisor.snapshot(shard, victim_key)
-        assert _canonical(after) == _canonical(before)
+        assert canonical_snapshot(after) == canonical_snapshot(before)
         assert all(isinstance(h, float) and h > 0 for h in hints)
         restart = front.supervisor.restart_log[-1]
         ok, mismatches = front.verify_linearizable()

@@ -356,8 +356,8 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
                       f"admitted {alloc['admitted']})")
             if report.by_tenant:
                 for name, split in sorted(report.by_tenant.items()):
-                    print(f"    {name:<22} offered {split['requests']:>6}"
-                          f"  ok {split['ok']:>6}  shed {split['shed']:>6}")
+                    print(f"    {name:<22} offered {split.offered:>6}"
+                          f"  ok {split.ok:>6}  shed {split.shed:>6}")
             if report.deadline_expired:
                 print(f"    deadline expired: {report.deadline_expired}")
             if report.retries_sent:
@@ -746,9 +746,9 @@ def main(argv: list[str] | None = None) -> int:
                                   "ExpiredBeforeDispatch instead of "
                                   "doing wasted work")
     serve_bench.add_argument("--retry-shed", action="store_true",
-                             help="re-offer each shed request once "
-                                  "marked Retry: true, exercising the "
-                                  "capped per-tenant retry budget")
+                             help="mark re-offers of shed requests "
+                                  "Retry: true, exercising the capped "
+                                  "per-tenant retry budget")
     serve_bench.add_argument("--json", action="store_true")
     serve_bench.set_defaults(func=_cmd_serve_bench)
 

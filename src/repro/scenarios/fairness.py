@@ -18,46 +18,27 @@ p99, floored so a zero-latency isolated phase cannot fail the bound
 on noise), then re-proves linearizability for both phases — fairness
 that corrupts the registry would be worse than no fairness.
 
-With ``kill_shard=True`` the drill instead runs on a sharded fair
-front door, kills one worker mid-run (no auto-restart), and grades
+:func:`shard_kill_inheritance` instead runs on a sharded fair front
+door, kills one worker mid-run (no auto-restart), and grades
 **budget inheritance**: the dead shard's tenants collapse to the
 floor grant, the survivors inherit the freed budget, and aggregate
 goodput must retain at least ~0.7 of the pre-kill rate — without
 inheritance a 2-shard kill pins retention near 0.5.
 
-The driver is single-threaded and event-ordered on the virtual clock
-(a heap of per-client next-fire instants), so every run is exactly
-reproducible: ratios in CI gate real regressions, not scheduling
-noise.  Clients honor Retry-After with full jitter and re-offer shed
-requests up to ``MAX_ATTEMPTS`` times, so a request's latency is its
-honest time-to-outcome including backoff.
+The load comes from the one seeded client loop
+(:func:`repro.serve.loadgen.drive`) on a single thread, so every run
+is exactly reproducible: ratios in CI gate real regressions, not
+scheduling noise.  Clients honor Retry-After with full jitter and
+re-offer shed requests up to ``MAX_ATTEMPTS`` times, so a request's
+latency is its honest time-to-outcome including backoff.
 """
 
 from __future__ import annotations
 
-import heapq
-import random
-
 from ..serve.allocation import AllocationConfig
 from ..serve.frontdoor import FrontDoor
-from ..serve.loadgen import (
-    MAX_RETRY_AFTER,
-    SHED_CODES,
-    _TrafficModel,
-    verify_linearizable,
-)
+from ..serve.loadgen import drive, Stream
 from ..telemetry import Telemetry
-
-#: Tries per request (the first offer plus re-offers after a shed).
-MAX_ATTEMPTS = 5
-
-
-def _percentile(values: list, fraction: float) -> float:
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    index = min(len(ordered) - 1, int(fraction * (len(ordered) - 1)))
-    return ordered[index]
 
 
 def drive_fair_load(
@@ -68,110 +49,28 @@ def drive_fair_load(
     read_ratio: float = 0.6,
 ) -> dict:
     """Drive ``clients`` (``[(tenant, rate), ...]``) for ``seconds``
-    of virtual time, single-threaded and deterministic.
+    of virtual time, one stream per client, single-threaded.
 
-    Each client offers requests at its rate; a shed answer is retried
-    after a full-jittered Retry-After wait, up to ``MAX_ATTEMPTS``
-    tries.  Returns per-tenant ``{offered, admitted, shed, expired,
-    retry_exhausted, gave_up, goodput_rps, p50_s, p99_s}`` plus the
-    elapsed window.
+    Returns per-tenant ``{offered, ok, admitted, shed, expired,
+    gave_up, goodput_rps, p50_s, p99_s}`` plus the elapsed window.
     """
-    probe = front.emulator_factory()
-    model = _TrafficModel(front.module, probe.read_only)
-    clock = front.clock
-    start = clock.now()
-    horizon = start + seconds
-    heap: list = []
-    state: dict[str, dict] = {}
-    for index, (tenant, rate) in enumerate(clients):
-        entry = {
-            "rng": random.Random(seed * 1_000_003 + index * 7_919),
-            "rate": float(rate),
-            "ids": {},
-            "next_at": start + (index + 1) * 1e-4,
-            "pending": None,
-            "attempts": 0,
-            "first_at": 0.0,
-            "latencies": [],
-            "stats": {
-                "offered": 0, "admitted": 0, "shed": 0,
-                "expired": 0, "retry_exhausted": 0, "gave_up": 0,
-            },
-        }
-        state[tenant] = entry
-        heapq.heappush(heap, (entry["next_at"], index, tenant))
-    while heap:
-        at, index, tenant = heapq.heappop(heap)
-        if at > horizon:
-            continue
-        entry = state[tenant]
-        now = clock.now()
-        if at > now:
-            clock.sleep(at - now)
-            now = clock.now()
-        rng = entry["rng"]
-        retrying = entry["pending"] is not None
-        if not retrying:
-            entry["pending"] = model.request(
-                rng, read_ratio, entry["ids"]
-            )
-            entry["attempts"] = 0
-            entry["first_at"] = now
-            entry["stats"]["offered"] += 1
-        api, params, __ = entry["pending"]
-        envelope = {"Action": api, "Parameters": params}
-        entry["attempts"] += 1
-        body = front.dispatch(envelope, api_key=tenant)
-        error = body.get("Error") or {}
-        code = error.get("Code", "")
-        stats = entry["stats"]
-        done = True
-        if error.get("RetryBudgetExhausted") is True:
-            stats["retry_exhausted"] += 1
-        hint = error.get("RetryAfterSeconds")
-        # A *serving-layer* shed always carries the Retry-After hint;
-        # injected chaos faults reuse the same codes but never the
-        # hint, and they fire *after* admission — they are admitted
-        # work that failed, not unfairness, so they must not count
-        # against a tenant's goodput ratio.
-        is_shed = (
-            code in SHED_CODES
-            and isinstance(hint, (int, float)) and hint > 0
-        )
-        if error.get("ExpiredBeforeDispatch") is True:
-            stats["expired"] += 1
-        elif is_shed:
-            if entry["attempts"] < MAX_ATTEMPTS:
-                cap = min(float(hint), MAX_RETRY_AFTER)
-                wait = max(rng.uniform(0.0, cap), 1e-6)
-                heapq.heappush(heap, (now + wait, index, tenant))
-                done = False
-            else:
-                stats["shed"] += 1
-                stats["gave_up"] += 1
-        else:
-            stats["admitted"] += 1
-            if not error:
-                created = body.get("id")
-                if isinstance(created, str) and created:
-                    sm = model.owning_sm(api)
-                    entry["ids"].setdefault(sm, []).append(created)
-        if done:
-            entry["latencies"].append(now - entry["first_at"])
-            entry["pending"] = None
-            entry["next_at"] += 1.0 / entry["rate"]
-            heapq.heappush(
-                heap, (max(entry["next_at"], now), index, tenant)
-            )
-    elapsed = max(clock.now() - start, 1e-9)
-    tenants = {}
-    for tenant, entry in state.items():
-        stats = dict(entry["stats"])
-        stats["goodput_rps"] = round(stats["admitted"] / elapsed, 3)
-        stats["p50_s"] = round(_percentile(entry["latencies"], 0.50), 6)
-        stats["p99_s"] = round(_percentile(entry["latencies"], 0.99), 6)
-        tenants[tenant] = stats
-    return {"elapsed_s": round(elapsed, 6), "tenants": tenants}
+    start = front.clock.now()
+    tally = drive(
+        front,
+        [
+            Stream(index, seed, [tenant], rate)
+            for index, (tenant, rate) in enumerate(clients)
+        ],
+        read_ratio, seconds=seconds,
+    )
+    elapsed = max(front.clock.now() - start, 1e-9)
+    return {
+        "elapsed_s": round(elapsed, 6),
+        "tenants": {
+            tenant: tally.tenant(tenant).stats(elapsed)
+            for tenant, __ in clients
+        },
+    }
 
 
 def _fair_front(build, pool_rate: float, pool_burst: float,
@@ -208,13 +107,6 @@ def _fair_front(build, pool_rate: float, pool_burst: float,
     )
 
 
-def _verify(front) -> tuple[bool, list[str]]:
-    verifier = getattr(front, "verify_linearizable", None)
-    if callable(verifier):
-        return verifier()
-    return verify_linearizable(front)
-
-
 def noisy_neighbor(
     build,
     seed: int = 7,
@@ -245,14 +137,14 @@ def noisy_neighbor(
         front, [(name, victim_rate) for name in victim_names],
         seconds, seed=seed,
     )
-    iso_ok, iso_mismatches = _verify(front)
+    iso_ok, iso_mismatches = front.verify_linearizable()
     result["phases"]["isolated"] = isolated
 
     front = _fair_front(build, pool_rate, pool_burst, seed, chaos=chaos)
     clients = [(name, victim_rate) for name in victim_names]
     clients.append(("aggressor", victim_rate * aggressor_mult))
     contended = drive_fair_load(front, clients, seconds, seed=seed)
-    con_ok, con_mismatches = _verify(front)
+    con_ok, con_mismatches = front.verify_linearizable()
     result["phases"]["contended"] = contended
     result["allocation"] = front.allocator.snapshot()
     result["allocation_history"] = list(front.allocator.history)

@@ -28,7 +28,7 @@ from __future__ import annotations
 import random
 
 from ..netem.engine import NetEm
-from ..netem.placement import Placer
+from ..netem.placement import Placer, REGION_HINT_KEYS
 from ..netem.timeline import FaultTimeline, partition_window, seeded_partitions
 from ..netem.topology import (
     DEFAULT_REGIONS,
@@ -37,13 +37,14 @@ from ..netem.topology import (
 )
 from ..resilience.policy import VirtualClock
 from ..serve.frontdoor import FrontDoor
-from ..serve.loadgen import LoadGenerator
+from ..serve.loadgen import LoadGenerator, TrafficModel
 from ..telemetry import Telemetry
 
 
-def _frontdoor(build, netem, telemetry, client_regions=None,
-               home_region=None, replication_lag=0.25, seed=7,
-               rate=200.0, burst=100.0, placer=None):
+def regional_frontdoor(build, netem, telemetry, client_regions=None,
+                       home_region=None, replication_lag=0.25, seed=7,
+                       rate=200.0, burst=100.0, placer=None):
+    """A single-process front door routed over ``netem``."""
     return FrontDoor(
         build.module, build.make_backend,
         clock=netem.clock, telemetry=telemetry,
@@ -55,7 +56,7 @@ def _frontdoor(build, netem, telemetry, client_regions=None,
     )
 
 
-def _single_home_placer(seed: int) -> Placer:
+def single_home_placer(seed: int) -> Placer:
     """All un-hinted creates land at the primary region — the shape
     that makes a cross-region partition actually stand between a
     remote client and its data."""
@@ -63,7 +64,8 @@ def _single_home_placer(seed: int) -> Placer:
                   default_region="us-east-1", data_gravity=False)
 
 
-def _invoke(front, tenant, api, params):
+def send(front, tenant, api, params):
+    """One scripted call through the wire path: (body, error code)."""
     body = front.dispatch(
         {"Action": api, "Parameters": params}, api_key=tenant
     )
@@ -71,7 +73,7 @@ def _invoke(front, tenant, api, params):
     return body, (error or {}).get("Code", "")
 
 
-def _probe_workload(build, seed: int, creates_needed: int = 6):
+def probe_workload(build, seed: int, creates_needed: int = 6):
     """Discover a driveable single-resource workload for any service.
 
     Registry IDs are deterministic, so a sequence of creates proved
@@ -82,31 +84,20 @@ def _probe_workload(build, seed: int, creates_needed: int = 6):
     convergence scenario over a service it cannot exercise should
     fail loudly, not vacuously pass.
     """
-    from ..interpreter.emulator import normalize_key
-    from ..netem.placement import REGION_HINT_KEYS
-    from ..serve.loadgen import _TrafficModel
-
     scratch = build.make_backend()
-    model = _TrafficModel(build.module, scratch.read_only)
+    model = TrafficModel(build.module, scratch.read_only)
     rng = random.Random(seed * 9973 + 11)
+    # Region-ish params are pinned to the scenarios' home region: a
+    # synthesized location hint would otherwise route the create to
+    # an arbitrary region and defeat the single-home shape the
+    # partition tests rely on.
+    home = {key: "us-east-1" for key in REGION_HINT_KEYS}
     for create_api in model.creates:
         probe = build.make_backend()
-        __, transition = model._index[create_api]
         creates: list[tuple[str, dict]] = []
         first_id = ""
         for __attempt in range(creates_needed * 4):
-            # Region-ish params are pinned to the scenarios' home
-            # region: a synthesized location hint would otherwise
-            # route the create to an arbitrary region and defeat the
-            # single-home shape the partition tests rely on.
-            params = {
-                param.name: (
-                    "us-east-1"
-                    if normalize_key(param.name) in REGION_HINT_KEYS
-                    else model._value(rng, param, {})
-                )
-                for param in transition.params
-            }
+            params = model.params(rng, create_api, {}, pin=home)
             response = probe.invoke(create_api, params)
             created = response.data.get("id") if response.success else None
             if isinstance(created, str) and created:
@@ -118,11 +109,7 @@ def _probe_workload(build, seed: int, creates_needed: int = 6):
             continue
         ids = {model.owning_sm(create_api): [first_id]}
         for read_api in model.reads:
-            __, read_transition = model._index[read_api]
-            read_params = {
-                param.name: model._value(rng, param, ids)
-                for param in read_transition.params
-            }
+            read_params = model.params(rng, read_api, ids)
             if probe.invoke(read_api, read_params).success:
                 return creates, read_api, read_params
     raise ValueError(
@@ -150,22 +137,22 @@ def multi_region_failover(build, seed: int = 7,
     )
     netem = NetEm(three_region_topology(), clock=clock,
                   timeline=timeline, seed=seed, telemetry=telemetry)
-    front = _frontdoor(
+    front = regional_frontdoor(
         build, netem, telemetry, seed=seed,
         home_region="us-east-1",
         client_regions={"geo": "eu-west-1"},
         replication_lag=0.5,
-        placer=_single_home_placer(seed),
+        placer=single_home_placer(seed),
     )
 
-    creates, read_api, read_params = _probe_workload(build, seed)
+    creates, read_api, read_params = probe_workload(build, seed)
     result = {"name": "multi_region_failover", "phases": {},
               "workload": {"create": creates[0][0], "read": read_api}}
     # Phase 1: healthy — create a resource, read it back
     # authoritatively.
-    body, code = _invoke(front, "geo", *creates[0])
+    body, code = send(front, "geo", *creates[0])
     resource = body.get("id", "")
-    __, read_code = _invoke(front, "geo", read_api, read_params)
+    __, read_code = send(front, "geo", read_api, read_params)
     result["phases"]["healthy"] = {
         "create_code": code, "read_code": read_code,
         "resource": resource,
@@ -176,8 +163,8 @@ def multi_region_failover(build, seed: int = 7,
     clock.sleep(10.0)
 
     # Phase 2: partitioned — writes bounce, reads go stale.
-    __, write_code = _invoke(front, "geo", *creates[1])
-    read_body, read_code = _invoke(front, "geo", read_api, read_params)
+    __, write_code = send(front, "geo", *creates[1])
+    read_body, read_code = send(front, "geo", read_api, read_params)
     result["phases"]["partitioned"] = {
         "write_code": write_code,
         "read_code": read_code,
@@ -188,7 +175,7 @@ def multi_region_failover(build, seed: int = 7,
     # Phase 3: healed — the client retries the bounced write, and it
     # lands.
     clock.sleep(25.0)
-    __, heal_code = _invoke(front, "geo", *creates[1])
+    __, heal_code = send(front, "geo", *creates[1])
     result["phases"]["healed"] = {"write_code": heal_code}
     result["stale_reads"] = netem.stats.stale_reads
     result["partition_rejects"] = netem.stats.partition_rejects
@@ -225,19 +212,19 @@ def partition_heal_convergence(build, seed: int = 7,
     )
     netem = NetEm(three_region_topology(), clock=clock,
                   timeline=timeline, seed=seed, telemetry=telemetry)
-    front = _frontdoor(
+    front = regional_frontdoor(
         build, netem, telemetry, seed=seed,
         home_region="us-east-1",
         client_regions={"geo": "us-east-1"},
         replication_lag=0.1,
-        placer=_single_home_placer(seed),
+        placer=single_home_placer(seed),
     )
 
-    creates, __read_api, __read_params = _probe_workload(build, seed)
-    __, code = _invoke(front, "geo", *creates[0])
+    creates, __read_api, __read_params = probe_workload(build, seed)
+    __, code = send(front, "geo", *creates[0])
     clock.sleep(6.0)  # enter the partition window
     for api, params in creates[1:5]:
-        _invoke(front, "geo", api, params)
+        send(front, "geo", api, params)
     tenant = front.router.get("geo")
     replicas = front.region_gate.tenant_net("geo").replicas
     during = replicas.divergence(tenant.emulator)
@@ -330,8 +317,8 @@ def noisy_cross_region_replication(
             sample_keep=sample_keep,
             drift_rate=drift_rate,
         )
-    front = _frontdoor(build, netem, telemetry, seed=seed,
-                       replication_lag=0.25)
+    front = regional_frontdoor(build, netem, telemetry, seed=seed,
+                               replication_lag=0.25)
     generator = LoadGenerator(
         front, seed=seed, workers=workers,
         requests_per_worker=requests_per_worker,

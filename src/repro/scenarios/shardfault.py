@@ -25,10 +25,10 @@ from __future__ import annotations
 
 import time
 
-from ..serve.loadgen import _canonical
+from ..serve.frontdoor import canonical_snapshot
 from ..serve.shard import ShardedFrontDoor
 from ..telemetry import Telemetry
-from .geo import _invoke, _probe_workload
+from .geo import probe_workload, send
 
 
 def shard_worker_failover(build, seed: int = 7, shards: int = 2,
@@ -45,15 +45,15 @@ def shard_worker_failover(build, seed: int = 7, shards: int = 2,
     result = {"name": "shard_worker_failover", "phases": {},
               "shards": shards}
     try:
-        creates, read_api, read_params = _probe_workload(build, seed)
+        creates, read_api, read_params = probe_workload(build, seed)
         result["workload"] = {"create": creates[0][0], "read": read_api}
         supervisor = front.supervisor
         shard = supervisor.shard_for(tenant)
         result["shard"] = shard
 
         # Phase 1: healthy — a write and a read land on the shard.
-        body, create_code = _invoke(front, tenant, *creates[0])
-        __, read_code = _invoke(front, tenant, read_api, read_params)
+        body, create_code = send(front, tenant, *creates[0])
+        __, read_code = send(front, tenant, read_api, read_params)
         result["phases"]["healthy"] = {
             "create_code": create_code, "read_code": read_code,
             "resource": body.get("id", ""),
@@ -63,7 +63,7 @@ def shard_worker_failover(build, seed: int = 7, shards: int = 2,
         # Phase 2: the worker dies — the next write sheds with a
         # Retry-After hint instead of hanging on a dead pipe.
         supervisor.kill(shard)
-        shed_body, shed_code = _invoke(front, tenant, *creates[1])
+        shed_body, shed_code = send(front, tenant, *creates[1])
         shed_error = shed_body.get("Error") or {}
         result["phases"]["failover"] = {
             "write_code": shed_code,
@@ -84,9 +84,9 @@ def shard_worker_failover(build, seed: int = 7, shards: int = 2,
         after = supervisor.snapshot(shard, tenant) if recovered else None
         identical = (
             after is not None
-            and _canonical(after) == _canonical(before)
+            and canonical_snapshot(after) == canonical_snapshot(before)
         )
-        __, retry_code = _invoke(front, tenant, *creates[1])
+        __, retry_code = send(front, tenant, *creates[1])
         restart = (supervisor.restart_log or [{}])[-1]
         result["phases"]["recovered"] = {
             "restarted": recovered,

@@ -10,9 +10,10 @@ production-shaped, multi-tenant service front end:
 - :mod:`admission` — per-tenant token buckets, the bounded admission
   queue and degraded-mode overload shedding;
 - :mod:`tenancy` — per-API-key registry namespaces;
-- :mod:`frontdoor` — the composed stack;
-- :mod:`loadgen` — the deterministic seeded load generator and the
-  serial-replay linearizability check behind ``repro serve-bench``;
+- :mod:`frontdoor` — the composed stack and its serial-replay
+  linearizability check;
+- :mod:`loadgen` — the one seeded client loop behind ``repro
+  serve-bench``, the geo noise scenario and the fairness drills;
 - :mod:`shard` — crash-tolerant multi-process sharding: the worker
   supervisor, heartbeat failure detection, WAL-replay shard recovery
   and the sharded front door behind ``serve-bench --shards``;
@@ -44,8 +45,8 @@ from .deadline import (
     current_meta,
     request_meta,
 )
-from .frontdoor import ConfigError, FrontDoor
-from .loadgen import LoadGenerator, LoadReport, verify_linearizable
+from .frontdoor import ConfigError, FrontDoor, verify_linearizable
+from .loadgen import LoadGenerator, LoadReport
 from .shard import (
     ShardConfig,
     ShardedFrontDoor,

@@ -1,129 +1,55 @@
-"""Deterministic seeded load generation and the linearizability check.
+"""The one seeded client loop every load run drives.
 
-``serve-bench`` drives open-loop traffic at configurable concurrency
-and read/write mix through a :class:`~repro.serve.frontdoor.FrontDoor`
-— optionally under a chaos profile — then *proves* the concurrent run
-was linearizable: the admitted-request log, replayed serially against
-a fresh emulator, must produce a registry byte-identical to the
-concurrent run's final snapshot.  Zero lost, duplicated or torn
-mutations, by construction checked rather than asserted.
+``serve-bench``, the geo noise scenario behind ``repro top`` and
+``repro sweep``, and the fairness drills all send traffic through
+:func:`drive`, which runs a heap of seeded :class:`Stream` clients in
+virtual-time order and defines, once, the rules they share:
 
-Traffic is deterministic per ``(seed, worker)``: each worker derives
-its own RNG stream, so the *offered* request sequence never depends on
-thread scheduling (the interleaving does, which is the point — the
-check must hold for every interleaving).  Virtual time advances
-``1/offered_rate`` clock-seconds per request, so the token buckets see
-a load expressed as a rate, not as wall time.
+- **classifier** — a *shed* is a shed code carrying a positive
+  ``RetryAfterSeconds``.  Injected chaos faults reuse the codes but
+  never the hint: they are admitted work that failed, not sheds;
+- **backoff** — after a shed, wait a full-jitter time uniform in
+  ``[0, min(hint, MAX_RETRY_AFTER)]``, then re-offer the request, up
+  to ``MAX_ATTEMPTS`` tries, so shed clients return spread out;
+- **tally** — one :class:`Tally`, from which both the
+  :class:`LoadReport` and the per-tenant fairness stats derive.
+
+Each :func:`drive` call keeps its own timeline and advances the front
+door's shared clock by exactly as much as that timeline moves, so a
+single-threaded run's timeline *is* the clock and the run is exactly
+reproducible.  :class:`LoadGenerator` runs one :func:`drive` per
+worker thread: their advances add up on the shared clock (so
+``offered_rate`` is the aggregate rate) while MVCC and admission see
+real interleavings.
 """
 
 from __future__ import annotations
 
-import json
+import heapq
+import math
+import random
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from ..interpreter.emulator import normalize_key
 from ..spec import ast
-from .concurrency import sum_version_stats
 
-
-@dataclass
-class LoadReport:
-    """What one load run offered, received and proved."""
-
-    requests: int = 0
-    reads: int = 0
-    writes: int = 0
-    by_code: dict = field(default_factory=dict)  # "" = success
-    shed: int = 0
-    admitted_writes: int = 0
-    workers: int = 0
-    tenants: int = 0
-    wall_seconds: float = 0.0
-    linearizable: bool | None = None
-    mismatches: list = field(default_factory=list)
-    #: Reads answered from a trailing replica (netem stale serving).
-    stale_reads: int = 0
-    #: Retry-After honoring: how many shed responses carried a hint
-    #: the generator slept on, the virtual seconds slept, and a
-    #: bounded sample of the honored request records.
-    retry_after_honored: int = 0
-    retry_after_seconds: float = 0.0
-    retry_after_log: list = field(default_factory=list)
-    #: Shard-failover backoff, accounted separately from admission
-    #: sheds: responses carrying the ``ShardUnavailable`` marker whose
-    #: Retry-After the generator slept on, the virtual seconds waited,
-    #: and a bounded per-request log of the failover waits.
-    failover_honored: int = 0
-    failover_seconds: float = 0.0
-    failover_log: list = field(default_factory=list)
-    #: Per-tenant outcome splits — the raw material of fairness
-    #: claims: ``{tenant: {"requests", "ok", "shed"}}``.
-    by_tenant: dict = field(default_factory=dict)
-    #: Requests shed with ``ExpiredBeforeDispatch`` (the propagated
-    #: deadline died before any layer did work).
-    deadline_expired: int = 0
-    #: Retries the generator re-offered (``Retry: true``) after
-    #: honoring a shed's Retry-After, and how many of those bounced
-    #: off an exhausted retry side-budget.
-    retries_sent: int = 0
-    retry_budget_exhausted: int = 0
-    #: The observability plane's summary (SLO budgets, burn alerts,
-    #: sampling, drift) when one was attached to the front door.
-    obs: dict | None = None
-    #: Aggregated MVCC version accounting across tenants (publishes,
-    #: reclaimed, live versions, pinned reads) — ``None`` until a
-    #: verifying run collects it.
-    mvcc: dict | None = None
-
-    @property
-    def throughput_rps(self) -> float:
-        if self.wall_seconds <= 0:
-            return 0.0
-        return self.requests / self.wall_seconds
-
-    def as_dict(self) -> dict:
-        return {
-            "requests": self.requests,
-            "reads": self.reads,
-            "writes": self.writes,
-            "by_code": dict(sorted(self.by_code.items())),
-            "shed": self.shed,
-            "admitted_writes": self.admitted_writes,
-            "workers": self.workers,
-            "tenants": self.tenants,
-            "wall_seconds": round(self.wall_seconds, 6),
-            "throughput_rps": round(self.throughput_rps, 3),
-            "linearizable": self.linearizable,
-            "mismatches": list(self.mismatches),
-            "stale_reads": self.stale_reads,
-            "retry_after_honored": self.retry_after_honored,
-            "retry_after_seconds": round(self.retry_after_seconds, 6),
-            "retry_after_log": list(self.retry_after_log),
-            "failover_honored": self.failover_honored,
-            "failover_seconds": round(self.failover_seconds, 6),
-            "failover_log": list(self.failover_log),
-            "by_tenant": {
-                tenant: dict(split)
-                for tenant, split in sorted(self.by_tenant.items())
-            },
-            "deadline_expired": self.deadline_expired,
-            "retries_sent": self.retries_sent,
-            "retry_budget_exhausted": self.retry_budget_exhausted,
-            "obs": self.obs,
-            "mvcc": self.mvcc,
-        }
-
-
-#: Shed codes the admission layer produces.
+#: Shed codes the serving layers produce.
 SHED_CODES = frozenset({"RequestLimitExceeded", "ServiceUnavailable"})
 
 #: Cap, in virtual seconds, on one honored Retry-After wait.
 MAX_RETRY_AFTER = 5.0
 
+#: Tries per offered request: the first offer plus re-offers after a
+#: shed.
+MAX_ATTEMPTS = 5
 
-class _TrafficModel:
+#: Bound on each sampled wait log (Retry-After and failover).
+LOG_SAMPLES = 50
+
+
+class TrafficModel:
     """Seeded request synthesis over one module's API surface."""
 
     def __init__(self, module: ast.SpecModule, classifier):
@@ -145,6 +71,12 @@ class _TrafficModel:
             api for api in self._index
             if api not in self.reads and api not in self.creates
         )
+
+    @classmethod
+    def of(cls, front) -> "TrafficModel":
+        """The model of ``front``'s module, reads classified by one of
+        its emulators."""
+        return cls(front.module, front.emulator_factory().read_only)
 
     def owning_sm(self, api: str) -> str:
         return self._index[api][0]
@@ -179,6 +111,27 @@ class _TrafficModel:
             return {"Name": f"lg-{rng.randrange(100)}"}
         return rng.choice(("name", "default", "standard", "primary"))
 
+    def params(self, rng, api: str, ids_by_sm: dict,
+               omit: float = 0.0, pin: dict | None = None) -> dict:
+        """Seeded parameters for one call of ``api``.
+
+        Each parameter is left out with probability ``omit``; one whose
+        normalized name is a key of ``pin`` takes the pinned value
+        instead of a drawn one.
+        """
+        __, transition = self._index[api]
+        pin = pin or {}
+        params = {}
+        for param in transition.params:
+            if omit and rng.random() < omit:
+                continue
+            norm = normalize_key(param.name)
+            params[param.name] = (
+                pin[norm] if norm in pin
+                else self._value(rng, param, ids_by_sm)
+            )
+        return params
+
     def request(self, rng, read_ratio: float,
                 ids_by_sm: dict) -> tuple[str, dict, bool]:
         """One deterministic request: (api, params, is_read)."""
@@ -194,17 +147,305 @@ class _TrafficModel:
         else:
             api = rng.choice(self.creates or self.reads)
             is_read = not self.creates
-        __, transition = self._index[api]
-        params = {
-            param.name: self._value(rng, param, ids_by_sm)
-            for param in transition.params
-            if rng.random() >= 0.05  # occasionally omit one
+        # Occasionally omit a parameter, so validation sees bad input.
+        return api, self.params(rng, api, ids_by_sm, omit=0.05), is_read
+
+
+@dataclass(eq=False)
+class Stream:
+    """One seeded client: who it speaks as, how fast, for how long.
+
+    It offers ``rate`` requests per virtual second as one of
+    ``tenants`` (drawn by ``weights`` when there are several), and
+    stops after ``budget`` offers (``None``: at the run's horizon).
+    """
+
+    index: int
+    seed: int
+    tenants: list
+    rate: float
+    budget: int | None = None
+    weights: list | None = None
+
+    def __post_init__(self):
+        self.rng = random.Random(self.seed * 1_000_003 + self.index * 7_919)
+        self.offered = 0
+        self.ids_by_sm: dict[str, list[str]] = {}
+        #: The request in flight, ``(tenant, api, params, is_read)``,
+        #: with its tries so far and the instant it was first offered.
+        self.pending: tuple | None = None
+        self.attempts = 0
+        self.first_at = self.next_at = 0.0
+
+    def pick_tenant(self) -> str:
+        if len(self.tenants) == 1:
+            return self.tenants[0]
+        return self.rng.choices(self.tenants, weights=self.weights)[0]
+
+    def exhausted(self) -> bool:
+        return self.budget is not None and self.offered >= self.budget
+
+
+def _percentile(values: list, fraction: float) -> float:
+    if not values:
+        return 0.0
+    ordered = sorted(values)
+    index = min(len(ordered) - 1, int(fraction * (len(ordered) - 1)))
+    return ordered[index]
+
+
+@dataclass
+class TenantTally:
+    """One tenant's offers and their final outcomes."""
+
+    offered: int = 0
+    #: Final outcome a success.
+    ok: int = 0
+    #: Final outcome past admission: a success, or an error the
+    #: service (or injected chaos) answered after admitting it.
+    admitted: int = 0
+    #: Serving-layer shed responses, one per shed.
+    shed: int = 0
+    #: Offers shed with ``ExpiredBeforeDispatch``.
+    expired: int = 0
+    #: Offers abandoned after ``MAX_ATTEMPTS`` sheds.
+    gave_up: int = 0
+    #: Per finished offer: virtual time to its outcome, backoff
+    #: included.
+    latencies: list = field(default_factory=list)
+
+    def counts(self) -> dict:
+        return {
+            item.name: getattr(self, item.name)
+            for item in fields(self) if item.name != "latencies"
         }
-        return api, params, is_read
+
+    def stats(self, elapsed: float) -> dict:
+        """Counts plus goodput and time-to-outcome tails over
+        ``elapsed`` virtual seconds."""
+        stats = self.counts()
+        stats["goodput_rps"] = round(self.admitted / elapsed, 3)
+        stats["p50_s"] = round(_percentile(self.latencies, 0.50), 6)
+        stats["p99_s"] = round(_percentile(self.latencies, 0.99), 6)
+        return stats
+
+
+@dataclass
+class Tally:
+    """Everything one or more :func:`drive` runs offered and got."""
+
+    #: Final outcome code per offer ("" = success).
+    by_code: dict = field(default_factory=dict)
+    reads: int = 0
+    writes: int = 0
+    #: Reads answered from a trailing replica (netem stale serving).
+    stale_reads: int = 0
+    #: Shed waits honored (failovers included), the virtual seconds
+    #: waited, and a bounded sample of admission-shed waits.
+    retry_after_honored: int = 0
+    retry_after_seconds: float = 0.0
+    retry_after_log: list = field(default_factory=list)
+    #: The ``ShardUnavailable`` subset of those waits — accounted
+    #: separately so a run can tell backpressure from a dying worker.
+    failover_honored: int = 0
+    failover_seconds: float = 0.0
+    failover_log: list = field(default_factory=list)
+    #: Re-offers sent after a shed, and sheds that bounced off an
+    #: exhausted retry side-budget.
+    retries_sent: int = 0
+    retry_budget_exhausted: int = 0
+    by_tenant: dict = field(default_factory=dict)
+
+    @property
+    def requests(self) -> int:
+        return self.reads + self.writes
+
+    @property
+    def shed(self) -> int:
+        return sum(split.shed for split in self.by_tenant.values())
+
+    @property
+    def deadline_expired(self) -> int:
+        return sum(split.expired for split in self.by_tenant.values())
+
+    def tenant(self, name: str) -> TenantTally:
+        return self.by_tenant.setdefault(name, TenantTally())
+
+    def merge(self, other: "Tally") -> None:
+        for item in fields(Tally):
+            mine, theirs = getattr(self, item.name), getattr(other, item.name)
+            if isinstance(mine, (int, float)):
+                setattr(self, item.name, mine + theirs)
+            elif isinstance(mine, list):  # a bounded wait log
+                mine.extend(theirs[:LOG_SAMPLES - len(mine)])
+        for code, count in other.by_code.items():
+            self.by_code[code] = self.by_code.get(code, 0) + count
+        for tenant, theirs in other.by_tenant.items():
+            mine = self.tenant(tenant)
+            for name, value in theirs.counts().items():
+                setattr(mine, name, getattr(mine, name) + value)
+            mine.latencies.extend(theirs.latencies)
+
+    def _note_wait(self, stream: Stream, api: str, code: str,
+                   hint: float, wait: float, error: dict) -> None:
+        self.retry_after_honored += 1
+        self.retry_after_seconds += wait
+        entry = {
+            "stream": stream.index, "api": api, "code": code,
+            "hint": round(float(hint), 6), "honored": round(wait, 6),
+        }
+        if error.get("ShardUnavailable"):
+            self.failover_honored += 1
+            self.failover_seconds += wait
+            if len(self.failover_log) < LOG_SAMPLES:
+                self.failover_log.append(
+                    {**entry, "shard": error.get("Shard")}
+                )
+        elif len(self.retry_after_log) < LOG_SAMPLES:
+            self.retry_after_log.append(entry)
+
+
+def drive(front, streams: list, read_ratio: float,
+          seconds: float | None = None,
+          deadline: float | None = None,
+          mark_retries: bool = False) -> Tally:
+    """Run ``streams`` against ``front`` on this thread, in virtual-time
+    order, until every stream spends its budget or ``seconds`` of
+    virtual time pass.
+
+    Envelopes carry ``DeadlineSeconds`` when ``deadline`` is set;
+    re-offers carry ``Retry: true`` when ``mark_retries`` is set, so
+    they draw on the capped retry side-budget.
+    """
+    model = TrafficModel.of(front)
+    clock = front.clock
+    tally = Tally()
+    now = clock.now()
+    horizon = math.inf if seconds is None else now + seconds
+    heap: list = []
+    for stream in streams:
+        stream.next_at = now + (stream.index + 1) * 1e-4
+        if not stream.exhausted():
+            heapq.heappush(heap, (stream.next_at, stream.index, stream))
+    while heap:
+        at, __, stream = heapq.heappop(heap)
+        if at > horizon:
+            continue
+        if at > now:
+            step = at - now
+            clock.sleep(step)
+            now += step
+        rng = stream.rng
+        if stream.pending is None:
+            tenant = stream.pick_tenant()
+            api, params, is_read = model.request(
+                rng, read_ratio, stream.ids_by_sm
+            )
+            stream.pending = (tenant, api, params, is_read)
+            stream.attempts = 0
+            stream.first_at = now
+            stream.offered += 1
+            tally.tenant(tenant).offered += 1
+            if is_read:
+                tally.reads += 1
+            else:
+                tally.writes += 1
+        tenant, api, params, __ = stream.pending
+        envelope = {"Action": api, "Parameters": params}
+        if deadline is not None:
+            envelope["DeadlineSeconds"] = deadline
+        if stream.attempts:
+            tally.retries_sent += 1
+            if mark_retries:
+                envelope["Retry"] = True
+        stream.attempts += 1
+        body = front.dispatch(envelope, api_key=tenant)
+        error = body.get("Error") or {}
+        code = error.get("Code", "")
+        hint = error.get("RetryAfterSeconds")
+        split = tally.tenant(tenant)
+        if error.get("RetryBudgetExhausted") is True:
+            tally.retry_budget_exhausted += 1
+        if error.get("ExpiredBeforeDispatch") is True:
+            split.expired += 1
+        elif (
+            code in SHED_CODES
+            and isinstance(hint, (int, float)) and hint > 0
+        ):
+            split.shed += 1
+            if stream.attempts < MAX_ATTEMPTS:
+                cap = min(float(hint), MAX_RETRY_AFTER)
+                wait = max(rng.uniform(0.0, cap), 1e-6)
+                tally._note_wait(stream, api, code, hint, wait, error)
+                heapq.heappush(heap, (now + wait, stream.index, stream))
+                continue
+            split.gave_up += 1
+        else:
+            split.admitted += 1
+            if not error:
+                split.ok += 1
+                if body.get("Stale") is True:
+                    tally.stale_reads += 1
+                created = body.get("id")
+                if isinstance(created, str) and created:
+                    sm = model.owning_sm(api)
+                    stream.ids_by_sm.setdefault(sm, []).append(created)
+        tally.by_code[code] = tally.by_code.get(code, 0) + 1
+        split.latencies.append(now - stream.first_at)
+        stream.pending = None
+        stream.next_at += 1.0 / stream.rate
+        if not stream.exhausted():
+            heapq.heappush(
+                heap, (max(stream.next_at, now), stream.index, stream)
+            )
+    return tally
+
+
+@dataclass
+class LoadReport(Tally):
+    """What one load run offered, received and proved."""
+
+    workers: int = 0
+    tenants: int = 0
+    admitted_writes: int = 0
+    wall_seconds: float = 0.0
+    linearizable: bool | None = None
+    mismatches: list = field(default_factory=list)
+    #: The observability plane's summary (SLO budgets, burn alerts,
+    #: sampling, drift) when one was attached to the front door.
+    obs: dict | None = None
+    #: Aggregated MVCC version accounting across tenants (publishes,
+    #: reclaimed, live versions, pinned reads) — ``None`` until a
+    #: verifying run collects it.
+    mvcc: dict | None = None
+
+    @property
+    def throughput_rps(self) -> float:
+        if self.wall_seconds <= 0:
+            return 0.0
+        return self.requests / self.wall_seconds
+
+    def as_dict(self) -> dict:
+        out = {item.name: getattr(self, item.name) for item in fields(self)}
+        out.update(
+            requests=self.requests, shed=self.shed,
+            deadline_expired=self.deadline_expired,
+            by_code=dict(sorted(self.by_code.items())),
+            by_tenant={
+                tenant: split.counts()
+                for tenant, split in sorted(self.by_tenant.items())
+            },
+            wall_seconds=round(self.wall_seconds, 6),
+            throughput_rps=round(self.throughput_rps, 3),
+            retry_after_seconds=round(self.retry_after_seconds, 6),
+            failover_seconds=round(self.failover_seconds, 6),
+        )
+        return out
 
 
 class LoadGenerator:
-    """Drives deterministic concurrent traffic through a front door."""
+    """Drives seeded concurrent traffic through a front door: one
+    :class:`Stream` per worker thread, each run by :func:`drive`."""
 
     def __init__(
         self,
@@ -215,7 +456,6 @@ class LoadGenerator:
         read_ratio: float = 0.7,
         tenants: int = 1,
         offered_rate: float | None = None,
-        honor_retry_after: bool = True,
         aggressor: str | None = None,
         aggressor_weight: float = 10.0,
         deadline: float | None = None,
@@ -229,15 +469,10 @@ class LoadGenerator:
         self.tenant_names = [
             f"tenant-{index}" for index in range(max(1, tenants))
         ]
-        #: Requests per virtual clock-second offered to the buckets
-        #: (None: advance the clock generously so rate never sheds).
+        #: Requests per virtual clock-second offered to the buckets,
+        #: summed over workers (None: one per second, so the default
+        #: buckets never shed).
         self.offered_rate = offered_rate
-        #: Back off by the admission layer's own Retry-After hint —
-        #: *full-jittered*: the actual wait is uniform in
-        #: ``[0, min(hint, MAX_RETRY_AFTER)]``, so a cohort of shed
-        #: clients desynchronizes instead of returning as one
-        #: thundering herd when the hint elapses.
-        self.honor_retry_after = honor_retry_after
         #: The noisy neighbor: this tenant is offered
         #: ``aggressor_weight`` times more traffic than each victim.
         self.aggressor = aggressor
@@ -245,171 +480,35 @@ class LoadGenerator:
         #: When set, every envelope carries ``DeadlineSeconds`` — the
         #: propagated budget the serving layers shed against.
         self.deadline = deadline
-        #: Re-offer each shed request once, marked ``Retry: true``, so
-        #: runs exercise the capped retry side-budget.
+        #: Mark re-offers ``Retry: true``, so runs exercise the capped
+        #: retry side-budget.
         self.retry_shed = retry_shed
-        probe = frontdoor.emulator_factory()
-        self.model = _TrafficModel(frontdoor.module, probe.read_only)
 
-    def _pick_tenant(self, rng) -> str:
-        if self.aggressor and self.aggressor in self.tenant_names:
+    def run(self, verify: bool = True) -> LoadReport:
+        """Run the full load, then (optionally) prove linearizability."""
+        weights = None
+        if self.aggressor in self.tenant_names:
             weights = [
                 self.aggressor_weight if name == self.aggressor else 1.0
                 for name in self.tenant_names
             ]
-            return rng.choices(self.tenant_names, weights=weights)[0]
-        return rng.choice(self.tenant_names)
+        tallies: list = [None] * self.workers
 
-    # -- drive ---------------------------------------------------------------
-
-    def _worker(self, worker_index: int, report: LoadReport,
-                lock: threading.Lock) -> None:
-        import random
-
-        rng = random.Random(self.seed * 1_000_003 + worker_index)
-        clock = self.frontdoor.clock
-        pace = (
-            1.0 / self.offered_rate if self.offered_rate else None
-        )
-        ids_by_sm: dict[str, list[str]] = {}
-        local_codes: dict[str, int] = {}
-        local_tenants: dict[str, dict] = {}
-        local_honored: list[dict] = []
-        local_failover: list[dict] = []
-        reads = writes = sheds = stale = 0
-        honored = 0
-        honored_seconds = 0.0
-        failover = 0
-        failover_seconds = 0.0
-        expired = 0
-        retries = 0
-        retry_exhausted = 0
-        for __ in range(self.requests_per_worker):
-            tenant = self._pick_tenant(rng)
-            api, params, is_read = self.model.request(
-                rng, self.read_ratio, ids_by_sm
+        def worker(index: int) -> None:
+            stream = Stream(
+                index, self.seed, self.tenant_names,
+                rate=self.offered_rate or 1.0,
+                budget=self.requests_per_worker, weights=weights,
             )
-            if pace is not None:
-                clock.sleep(pace)
-            else:
-                clock.sleep(1.0)  # unconstrained: buckets never empty
-            envelope = {"Action": api, "Parameters": params}
-            if self.deadline is not None:
-                envelope["DeadlineSeconds"] = self.deadline
-            body = self.frontdoor.dispatch(envelope, api_key=tenant)
-            error = body.get("Error")
-            code = error.get("Code", "") if error else ""
-            local_codes[code] = local_codes.get(code, 0) + 1
-            split = local_tenants.setdefault(
-                tenant, {"requests": 0, "ok": 0, "shed": 0}
+            tallies[index] = drive(
+                self.frontdoor, [stream], self.read_ratio,
+                deadline=self.deadline,
+                mark_retries=self.retry_shed,
             )
-            split["requests"] += 1
-            if not error:
-                split["ok"] += 1
-            if is_read:
-                reads += 1
-            else:
-                writes += 1
-            if error and error.get("ExpiredBeforeDispatch") is True:
-                expired += 1
-                split["shed"] += 1
-            if code in SHED_CODES:
-                sheds += 1
-                split["shed"] += 1
-                hint = error.get("RetryAfterSeconds")
-                if (
-                    self.honor_retry_after
-                    and isinstance(hint, (int, float))
-                    and hint > 0
-                ):
-                    # Full jitter (AWS-style): sleep uniform in
-                    # [0, min(hint, cap)] so a cohort of shed clients
-                    # returns spread out, not as a synchronized herd.
-                    cap = min(float(hint), MAX_RETRY_AFTER)
-                    delay = rng.uniform(0.0, cap)
-                    clock.sleep(delay)
-                    honored += 1
-                    honored_seconds += delay
-                    entry = {
-                        "worker": worker_index,
-                        "api": api,
-                        "code": code,
-                        "hint": round(float(hint), 6),
-                        "honored": round(delay, 6),
-                        "jittered": round(delay, 6),
-                    }
-                    # A shard-unavailable shed is a *failover* wait —
-                    # honored the same way, accounted separately so a
-                    # run can tell backpressure from a dying worker.
-                    if error.get("ShardUnavailable"):
-                        failover += 1
-                        failover_seconds += delay
-                        if len(local_failover) < 25:
-                            local_failover.append(
-                                {**entry, "shard": error.get("Shard")}
-                            )
-                    elif len(local_honored) < 25:
-                        local_honored.append(entry)
-                if self.retry_shed:
-                    retries += 1
-                    retry_env = dict(envelope)
-                    retry_env["Retry"] = True
-                    retry_body = self.frontdoor.dispatch(
-                        retry_env, api_key=tenant
-                    )
-                    retry_error = retry_body.get("Error") or {}
-                    if retry_error.get("RetryBudgetExhausted") is True:
-                        retry_exhausted += 1
-                    elif not retry_body.get("Error"):
-                        created = retry_body.get("id")
-                        if isinstance(created, str) and created:
-                            sm = self.model.owning_sm(api)
-                            ids_by_sm.setdefault(sm, []).append(created)
-            if not error:
-                if body.get("Stale") is True:
-                    stale += 1
-                created = body.get("id")
-                if isinstance(created, str) and created:
-                    sm = self.model.owning_sm(api)
-                    ids_by_sm.setdefault(sm, []).append(created)
-        with lock:
-            report.requests += reads + writes
-            report.reads += reads
-            report.writes += writes
-            report.shed += sheds
-            report.stale_reads += stale
-            report.retry_after_honored += honored
-            report.retry_after_seconds += honored_seconds
-            report.failover_honored += failover
-            report.failover_seconds += failover_seconds
-            report.deadline_expired += expired
-            report.retries_sent += retries
-            report.retry_budget_exhausted += retry_exhausted
-            for tenant, split in local_tenants.items():
-                merged = report.by_tenant.setdefault(
-                    tenant, {"requests": 0, "ok": 0, "shed": 0}
-                )
-                for key, value in split.items():
-                    merged[key] += value
-            # Keep the honored-delay logs bounded across workers.
-            room = 50 - len(report.retry_after_log)
-            if room > 0:
-                report.retry_after_log.extend(local_honored[:room])
-            room = 50 - len(report.failover_log)
-            if room > 0:
-                report.failover_log.extend(local_failover[:room])
-            for code, count in local_codes.items():
-                report.by_code[code] = report.by_code.get(code, 0) + count
 
-    def run(self, verify: bool = True) -> LoadReport:
-        """Run the full load, then (optionally) prove linearizability."""
-        report = LoadReport(
-            workers=self.workers, tenants=len(self.tenant_names)
-        )
-        lock = threading.Lock()
         threads = [
             threading.Thread(
-                target=self._worker, args=(index, report, lock),
+                target=worker, args=(index,),
                 name=f"loadgen-{index}", daemon=True,
             )
             for index in range(self.workers)
@@ -419,78 +518,19 @@ class LoadGenerator:
             thread.start()
         for thread in threads:
             thread.join()
-        report.wall_seconds = time.perf_counter() - start
+        report = LoadReport(
+            workers=self.workers, tenants=len(self.tenant_names),
+            wall_seconds=time.perf_counter() - start,
+        )
+        for tally in tallies:
+            report.merge(tally)
         report.admitted_writes = len(self.frontdoor.admitted)
         obs = getattr(self.frontdoor.telemetry, "obs", None)
         if obs is not None:
             report.obs = obs.report()
         if verify:
-            # A front door may supply its own checks (the sharded one
-            # replays merged per-shard attempt logs over RPC); default
-            # to the in-process serial replay otherwise.
-            verifier = getattr(self.frontdoor, "verify_linearizable", None)
-            ok, mismatches = (
-                verifier() if callable(verifier)
-                else verify_linearizable(self.frontdoor)
+            report.linearizable, report.mismatches = (
+                self.frontdoor.verify_linearizable()
             )
-            report.linearizable = ok
-            report.mismatches = mismatches
-            stats = getattr(self.frontdoor, "mvcc_stats", None)
-            report.mvcc = (
-                stats() if callable(stats) else mvcc_stats(self.frontdoor)
-            )
+            report.mvcc = self.frontdoor.mvcc_stats()
         return report
-
-
-# ---------------------------------------------------------------------------
-# Linearizability: serial replay of the admitted log
-# ---------------------------------------------------------------------------
-
-
-def _canonical(snapshot: dict) -> str:
-    snapshot = dict(snapshot)
-    snapshot["wal_seq"] = 0  # replicas never carry a WAL
-    # Region placements are assigned by the front door's network gate,
-    # which the serial-replay replica runs without; they are routing
-    # metadata, not API-visible state, so they are excluded from the
-    # linearizability comparison.
-    snapshot.pop("placements", None)
-    return json.dumps(snapshot, sort_keys=True)
-
-
-def mvcc_stats(frontdoor) -> dict:
-    """Version accounting summed across the front door's tenants (see
-    :func:`~repro.serve.concurrency.sum_version_stats`)."""
-    return sum_version_stats(
-        tenant.emulator.version_stats()
-        for tenant in frontdoor.router.tenants()
-    )
-
-
-def verify_linearizable(frontdoor) -> tuple[bool, list[str]]:
-    """Serial replay of each tenant's admitted log == live registry?
-
-    For every tenant: build a fresh emulator from the front door's own
-    factory, replay that tenant's admitted write attempts in log
-    order, and compare canonical snapshots byte-for-byte.  A lost,
-    duplicated, torn or re-ordered mutation anywhere in the concurrent
-    run shows up as a diff (IDs, state values and allocator counters
-    are all in the snapshot).
-    """
-    mismatches: list[str] = []
-    for tenant in frontdoor.router.tenants():
-        replica = frontdoor.emulator_factory()
-        for record in frontdoor.admitted.per_tenant(tenant.name):
-            if record["api"] == "_Reset":
-                replica.reset()
-            else:
-                replica.invoke(record["api"], record["params"])
-        live = _canonical(tenant.emulator.snapshot())
-        replayed = _canonical(replica.snapshot())
-        if live != replayed:
-            mismatches.append(
-                f"tenant {tenant.name}: serial replay diverges from "
-                f"the concurrent registry "
-                f"(live {len(live)}B != replay {len(replayed)}B)"
-            )
-    return (not mismatches), mismatches

@@ -70,8 +70,12 @@ from ..resilience.policy import VirtualClock
 from ..spec import parse_module, serialize_module
 from .concurrency import ConcurrentEmulator, sum_version_stats
 from .deadline import current_meta, expired_response
-from .frontdoor import ConfigError, FrontDoor, _GuardedBackend
-from .loadgen import _canonical
+from .frontdoor import (
+    canonical_snapshot,
+    ConfigError,
+    FrontDoor,
+    _GuardedBackend,
+)
 from .tenancy import Tenant, TenantRouter
 
 SHARD_WAL_NAME = "shard.wal"
@@ -297,7 +301,9 @@ class _ShardWorker:
                     self._apply(control, record)
             want = control.snapshot()
             got = concurrent.snapshot()
-            identical = _canonical(want) == _canonical(got)
+            identical = (
+                canonical_snapshot(want) == canonical_snapshot(got)
+            )
             reports.append({
                 "tenant": tenant,
                 "snapshot_seq": snap_seq,
@@ -1197,9 +1203,8 @@ class ShardedFrontDoor(FrontDoor):
     its own :meth:`verify_linearizable` (merged per-shard attempt logs,
     replayed serially, compared byte-for-byte against RPC-fetched
     shard snapshots — with recovery self-check failures folded in) and
-    :meth:`mvcc_stats` (worker version accounting, merged);
-    :class:`~repro.serve.loadgen.LoadGenerator` picks both up
-    automatically.  The supervisor runs with its default heartbeat
+    :meth:`mvcc_stats` (worker version accounting, merged), overriding
+    the in-process ones every load driver calls.  The supervisor runs with its default heartbeat
     miss policy and the module's ``RPC_TIMEOUT`` /
     ``HEARTBEAT_INTERVAL``; not-found codes come from the probe
     emulator.
@@ -1305,7 +1310,8 @@ class ShardedFrontDoor(FrontDoor):
                     "the linearizability snapshot"
                 )
                 continue
-            if _canonical(replica.snapshot()) != _canonical(live):
+            replayed = canonical_snapshot(replica.snapshot())
+            if replayed != canonical_snapshot(live):
                 mismatches.append(
                     f"tenant {tenant}: serial replay of the merged "
                     f"shard-{shard} attempt log diverges from the "

@@ -550,19 +550,6 @@ class TestRetryAfterHonored:
             assert record["code"] in {"RequestLimitExceeded",
                                       "ServiceUnavailable"}
 
-    def test_honoring_can_be_disabled(self, build):
-        front = FrontDoor(
-            build.module, build.make_backend, rate=5.0, burst=2.0,
-        )
-        generator = LoadGenerator(
-            front, seed=3, workers=2, requests_per_worker=40,
-            tenants=1, offered_rate=500.0, honor_retry_after=False,
-        )
-        report = generator.run(verify=False)
-        assert report.shed > 0
-        assert report.retry_after_honored == 0
-        assert report.retry_after_log == []
-
 
 class TestGeoScenarios:
     def test_multi_region_failover(self, build):

@@ -31,11 +31,11 @@ from repro.obs.tracectx import RequestContext
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.policy import VirtualClock
 from repro.scenarios.geo import (
-    _frontdoor,
-    _invoke,
-    _probe_workload,
-    _single_home_placer,
     noisy_cross_region_replication,
+    probe_workload,
+    regional_frontdoor,
+    send,
+    single_home_placer,
 )
 from repro.serve import LoadGenerator
 from repro.serve.frontdoor import FrontDoor
@@ -347,21 +347,21 @@ class TestFailoverTraceTree:
         ))
         netem = NetEm(three_region_topology(), clock=clock,
                       timeline=timeline, seed=7, telemetry=telemetry)
-        front = _frontdoor(
+        front = regional_frontdoor(
             build, netem, telemetry, seed=7,
             home_region="us-east-1",
             client_regions={"geo": "eu-west-1"},
             replication_lag=0.5,
-            placer=_single_home_placer(7),
+            placer=single_home_placer(7),
         )
-        creates, read_api, read_params = _probe_workload(build, 7)
-        __, code = _invoke(front, "geo", *creates[0])
+        creates, read_api, read_params = probe_workload(build, 7)
+        __, code = send(front, "geo", *creates[0])
         assert code == ""
-        _invoke(front, "geo", read_api, read_params)
+        send(front, "geo", read_api, read_params)
         clock.sleep(2.0)
         front.invoke(read_api, read_params, api_key="geo")  # replica sync
         clock.sleep(10.0)  # cross into the partition window
-        body, code = _invoke(front, "geo", read_api, read_params)
+        body, code = send(front, "geo", read_api, read_params)
         assert body.get("Stale") is True
 
         roots = [

@@ -381,6 +381,30 @@ class TestConcurrentSoak:
         for record in front.admitted.records:
             assert record["api"] != ""
 
+    def test_chaos_faults_are_not_counted_as_sheds(self, build):
+        """Injected throttles reuse the shed codes but carry no
+        Retry-After hint: with admission unlimited they are admitted
+        work that failed, so nothing is a shed and nothing is waited
+        on, while the codes still show in the outcome histogram."""
+        engine = ChaosEngine(HOSTILE_PROFILE, seed=23)
+        front = make_front(
+            build, wrap=lambda backend: ChaosProxy(backend, engine),
+            rate=1e9, burst=1e9,
+        )
+        generator = LoadGenerator(
+            front, seed=22, workers=1, requests_per_worker=400,
+        )
+        report = generator.run()
+        assert report.linearizable, report.mismatches
+        injected = sum(
+            report.by_code.get(code, 0)
+            for code in ("RequestLimitExceeded", "ServiceUnavailable")
+        )
+        assert injected > 0, report.by_code
+        assert report.shed == 0
+        assert report.retry_after_honored == 0
+        assert report.requests == sum(report.by_code.values()) == 400
+
     def test_serial_rerun_reproduces_request_outcomes(self, build):
         """Same seed, 1 worker: the offered traffic is identical, so
         the outcome histogram is too (scheduling-independent)."""

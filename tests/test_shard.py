@@ -30,7 +30,7 @@ from repro.serve import (
     parse_kill_schedule,
     shard_for,
 )
-from repro.serve.loadgen import _canonical
+from repro.serve.frontdoor import canonical_snapshot
 from repro.serve.shard import (
     CRASH_EXIT_CODE,
     WORKER_KILL_SITES,
@@ -267,7 +267,9 @@ class TestSupervisor:
             for __ in range(3):
                 control.invoke("CreatePublicIP", {"region": "us-east"})
             live = supervisor.snapshot(0, "t")
-            assert _canonical(live) == _canonical(control.snapshot())
+            assert canonical_snapshot(live) == canonical_snapshot(
+                control.snapshot()
+            )
             assert supervisor.recovery_failures == []
 
     def test_torn_wal_append_recovers_byte_identical(self, tmp_path):
@@ -286,7 +288,7 @@ class TestSupervisor:
                 and supervisor.generation(0) == 1
             )
             after = supervisor.snapshot(0, "t")
-            assert _canonical(after) == _canonical(before)
+            assert canonical_snapshot(after) == canonical_snapshot(before)
             reports = supervisor.recovery_reports()[0]
             assert reports[0]["torn_dropped"] == 1
             assert reports[0]["identical"]
