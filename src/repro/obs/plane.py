@@ -13,20 +13,21 @@ registry cannot:
   (:mod:`repro.obs.tracectx`): every request gets a root span and a
   context the lower layers stamp hops and waits onto; at completion
   the sampler keeps error/shed/slow trees and a seeded fraction of
-  the healthy ones, discarding the rest from the tracer so trace
-  output stays bounded under load;
+  the healthy ones.  Only kept roots are ever filed in the tracer,
+  so trace output stays bounded under load;
 - an optional **drift monitor** (:mod:`repro.obs.drift`) re-running a
   seeded fraction of reads through the tree-walking evaluator.
 
-The per-request hot path is deliberately small: one span, one
-windowed record, one crc32 draw.  Everything else (hop child spans,
-SLO evaluation, dashboards) happens on the kept-trace path or at
-query time.
+The per-request hot path is O(1) and small: a slotted context
+manager, one span opened on the thread's span stack (it takes its id,
+but is filed as a root only if kept), one dict lookup for the
+request's windowed series, one windowed record and one crc32 draw.
+Root attributes, hop child spans and filing happen only for kept
+traces (and for roots nested under an outer span, which are never
+dropped); SLO evaluation and dashboards run at query time.
 """
 
 from __future__ import annotations
-
-from contextlib import contextmanager
 
 from ..telemetry.spans import Span
 from .slo import SLOEngine, SLOSpec
@@ -76,6 +77,10 @@ class ObsPlane:
         self.slo = SLOEngine(self.store, slos or [])
         self.sampler = TailSampler(keep_rate=sample_keep, seed=seed)
         self._trace_ids = TraceIdAllocator(seed)
+        self.tracer = telemetry.tracer
+        #: ``serve.requests`` series by (tenant, api, region, outcome,
+        #: code), so a request finds its series without rendering a key.
+        self._requests: dict[tuple, object] = {}
         self.drift = None
         if drift_rate > 0:
             from .drift import DriftMonitor
@@ -85,39 +90,16 @@ class ObsPlane:
 
     # -- the per-request hot path --------------------------------------------
 
-    @contextmanager
-    def request(self, tenant: str, api: str):
+    def request(self, tenant: str, api: str) -> "_Request":
         """Wrap one request: root span, propagated context, sampling.
 
-        The body runs with a :class:`RequestContext` installed in the
-        context variable, so admission, the region gate and the
+        The ``with`` body runs with a :class:`RequestContext` installed
+        in the context variable, so admission, the region gate and the
         concurrency layer can stamp what they see; at exit the request
         is classified, recorded into the windowed store, and its trace
-        tree is kept or discarded by the tail sampler.
+        tree is kept or dropped by the tail sampler.
         """
-        start = self.clock.now()
-        ctx = RequestContext(
-            self._trace_ids.next_id(), tenant, api, start
-        )
-        token = CURRENT_REQUEST.set(ctx)
-        root = None
-        try:
-            with self.telemetry.span(
-                "serve.request", kind="serve",
-                trace_id=ctx.trace_id, tenant=tenant, api=api,
-            ) as span:
-                root = span
-                ctx.root = span
-                yield ctx
-        except BaseException as error:
-            ctx.outcome = "error"
-            if not ctx.error_code:
-                ctx.error_code = type(error).__name__
-            raise
-        finally:
-            CURRENT_REQUEST.reset(token)
-            if root is not None:
-                self._finish(ctx, root, max(0.0, root.end - root.start))
+        return _Request(self, tenant, api)
 
     def classify(self, ctx: RequestContext, code: str) -> None:
         """Map one response's error code onto the request's outcome."""
@@ -134,53 +116,40 @@ class ObsPlane:
             ctx.outcome = "client_error"
             ctx.error_code = code
 
-    def _finish(self, ctx: RequestContext, root: Span,
-                latency_s: float) -> None:
+    def _finish(self, ctx: RequestContext, root: Span) -> None:
         now = self.clock.now()
+        latency_s = root.duration
         # Decide sampling *before* recording: exemplars must point at
         # trace ids that survive into the exported span set, so only
         # kept traces are linkable from histogram windows.
         decision = self.sampler.decide(ctx, latency_s)
-        exemplar = ctx.trace_id if decision["sampled"] else ""
-        self.store.histogram(
-            "serve.requests",
-            tenant=ctx.tenant, api=ctx.api,
-            region=ctx.resource_region or "-",
-            outcome=ctx.outcome, code=ctx.error_code or "-",
-        ).record(now, latency_s, exemplar=exemplar)
+        kept = decision["sampled"]
+        exemplar = ctx.trace_id if kept else ""
+        region = ctx.resource_region or "-"
+        code = ctx.error_code or "-"
+        key = (ctx.tenant, ctx.api, region, ctx.outcome, code)
+        series = self._requests.get(key)
+        if series is None:
+            series = self._requests[key] = self.store.histogram(
+                "serve.requests", tenant=ctx.tenant, api=ctx.api,
+                region=region, outcome=ctx.outcome, code=code,
+            )
+        series.record(now, latency_s, exemplar=exemplar)
         for hop in ctx.hops:
             self.store.histogram(
                 "net.rtt", src=hop["src"], dst=hop["dst"],
             ).record(hop.get("at", now), hop["rtt_s"],
                      exemplar=exemplar)
 
-        root.set("outcome", ctx.outcome)
-        if ctx.error_code:
-            root.set("error_code", ctx.error_code)
-        if ctx.client_region:
-            root.set("client_region", ctx.client_region)
-        if ctx.resource_region:
-            root.set("resource_region", ctx.resource_region)
-        if ctx.hops:
-            root.set("rtt_total_s", round(ctx.rtt_total_s, 9))
-        if ctx.failover:
-            root.set("failover", True)
-        if ctx.queue_depth:
-            root.set("queue_depth", ctx.queue_depth)
-        if ctx.lock_wait_s:
-            root.set("lock_wait_s", round(ctx.lock_wait_s, 6))
-        if ctx.registry_version:
-            # The single published version this request observed
-            # (pinned for reads, published for writes) on the MVCC
-            # serve path.
-            root.set("registry.version", ctx.registry_version)
-
-        if decision["sampled"]:
+        attached = root.parent_id is not None
+        if kept or attached:
+            _stamp(ctx, root)
+        if kept:
             root.set("sampled", True)
             root.set("sample_reason", decision["reason"])
             self._materialize_hops(ctx, root)
-        else:
-            self.telemetry.tracer.discard_root(root)
+            if not attached:
+                self.tracer.file_root(root)
 
     def _materialize_hops(self, ctx: RequestContext, root: Span) -> None:
         """Render the context's hop records as child spans.
@@ -232,3 +201,68 @@ class ObsPlane:
         if self.drift is not None:
             out["drift"] = self.drift.as_dict()
         return out
+
+
+def _stamp(ctx: RequestContext, root: Span) -> None:
+    """Write what the request learned onto its root span."""
+    root.set("trace_id", ctx.trace_id)
+    root.set("tenant", ctx.tenant)
+    root.set("api", ctx.api)
+    root.set("outcome", ctx.outcome)
+    if ctx.error_code:
+        root.set("error_code", ctx.error_code)
+    if ctx.client_region:
+        root.set("client_region", ctx.client_region)
+    if ctx.resource_region:
+        root.set("resource_region", ctx.resource_region)
+    if ctx.hops:
+        root.set("rtt_total_s", round(ctx.rtt_total_s, 9))
+    if ctx.failover:
+        root.set("failover", True)
+    if ctx.queue_depth:
+        root.set("queue_depth", ctx.queue_depth)
+    if ctx.lock_wait_s:
+        root.set("lock_wait_s", round(ctx.lock_wait_s, 6))
+    if ctx.registry_version:
+        # The single published version this request observed (pinned
+        # for reads, published for writes) on the MVCC serve path.
+        root.set("registry.version", ctx.registry_version)
+
+
+class _Request:
+    """The context manager :meth:`ObsPlane.request` returns.
+
+    Enter opens the ``serve.request`` span on the thread's span stack
+    without filing it as a root and installs the request's context;
+    exit closes the span and hands both to :meth:`ObsPlane._finish`.
+    """
+
+    __slots__ = ("plane", "tenant", "api", "ctx", "root", "token")
+
+    def __init__(self, plane: ObsPlane, tenant: str, api: str):
+        self.plane = plane
+        self.tenant = tenant
+        self.api = api
+
+    def __enter__(self) -> RequestContext:
+        plane = self.plane
+        root = self.root = plane.tracer.open(
+            "serve.request", "serve", file=False
+        )
+        ctx = self.ctx = RequestContext(
+            plane._trace_ids.next_id(), self.tenant, self.api,
+            root.start, root,
+        )
+        self.token = CURRENT_REQUEST.set(ctx)
+        return ctx
+
+    def __exit__(self, exc_type, error, traceback) -> bool:
+        ctx, root, plane = self.ctx, self.root, self.plane
+        plane.tracer.close(root, error)
+        if error is not None:
+            ctx.outcome = "error"
+            if not ctx.error_code:
+                ctx.error_code = exc_type.__name__
+        CURRENT_REQUEST.reset(self.token)
+        plane._finish(ctx, root)
+        return False

@@ -54,7 +54,7 @@ class RequestContext:
         #: serve path: readers pin exactly one; writers record the one
         #: they published).  0 = not versioned (fallback lock path).
         self.registry_version = 0
-        self.outcome = "ok"       # "ok" | "error" | "shed"
+        self.outcome = "ok"  # "ok" | "client_error" | "error" | "shed"
         self.error_code = ""
         self.shed = False
         self.failover = False
@@ -105,10 +105,10 @@ class TailSampler:
     - everything else: kept iff a seeded draw over the trace id lands
       under ``keep_rate``.
 
-    ``decide`` returns the decision record; the caller is responsible
-    for evicting dropped trees (``Tracer.discard_root``), because the
-    sampler itself never touches the tracer — it stays testable in
-    isolation.
+    ``decide`` returns the decision record; the caller files kept
+    trees with the tracer (``Tracer.file_root``) and simply never files
+    dropped ones.  The sampler itself never touches the tracer, so it
+    stays testable in isolation.
     """
 
     __slots__ = ("keep_rate", "slow_threshold_s", "seed",

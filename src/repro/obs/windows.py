@@ -31,8 +31,8 @@ class _Window:
 
     __slots__ = ("index", "count", "total", "max", "values", "exemplar")
 
-    def __init__(self):
-        self.reset(-1)
+    def __init__(self, index: int):
+        self.reset(index)
 
     def reset(self, index: int) -> None:
         self.index = index
@@ -56,10 +56,15 @@ class _Window:
 
 
 class WindowedSeries:
-    """One (name, labels) stream bucketed into virtual-time windows."""
+    """One (name, labels) stream bucketed into virtual-time windows.
+
+    Window ``index`` lives in ring slot ``index % capacity``; a slot's
+    window is created on its first write and reused (reset) when a
+    later index lands on the same slot.
+    """
 
     __slots__ = ("name", "labels", "kind", "resolution", "capacity",
-                 "_ring", "_lock", "_latest")
+                 "_ring", "_lock")
 
     def __init__(self, name: str, labels: dict, kind: str,
                  resolution: float, capacity: int):
@@ -68,9 +73,9 @@ class WindowedSeries:
         self.kind = kind  # "counter" | "histogram"
         self.resolution = float(resolution)
         self.capacity = int(capacity)
-        self._ring = [_Window() for __ in range(self.capacity)]
+        #: Ring slot -> the window it holds; only written slots exist.
+        self._ring: dict[int, _Window] = {}
         self._lock = threading.Lock()
-        self._latest = -1  # highest window index ever written
 
     @property
     def key(self) -> str:
@@ -81,12 +86,13 @@ class WindowedSeries:
     def record(self, now: float, value: float = 1.0,
                exemplar: str = "") -> None:
         index = int(now / self.resolution)
+        slot = index % self.capacity
         with self._lock:
-            window = self._ring[index % self.capacity]
-            if window.index != index:
+            window = self._ring.get(slot)
+            if window is None:
+                window = self._ring[slot] = _Window(index)
+            elif window.index != index:
                 window.reset(index)
-            if index > self._latest:
-                self._latest = index
             window.count += 1
             window.total += value
             if self.kind == "histogram":
@@ -105,8 +111,8 @@ class WindowedSeries:
         last = int(until / self.resolution)
         with self._lock:
             return [
-                window for window in self._ring
-                if window.index >= 0 and first <= window.index <= last
+                window for window in self._ring.values()
+                if first <= window.index <= last
             ]
 
     def windows(self, since: float, until: float) -> list[_Window]:
@@ -116,7 +122,7 @@ class WindowedSeries:
     def live_windows(self) -> list[_Window]:
         """Every window still in the ring, oldest first."""
         with self._lock:
-            live = [w for w in self._ring if w.index >= 0]
+            live = list(self._ring.values())
         return sorted(live, key=lambda w: w.index)
 
     def total(self, lookback: float, now: float,
@@ -154,16 +160,13 @@ class WindowedSeries:
         return worst.exemplar if worst is not None else ""
 
     def as_dict(self) -> dict:
-        with self._lock:
-            live = sorted(
-                (w for w in self._ring if w.index >= 0),
-                key=lambda w: w.index,
-            )
         return {
             "series": self.key,
             "kind": self.kind,
             "resolution": self.resolution,
-            "windows": [w.as_dict(self.resolution) for w in live],
+            "windows": [
+                w.as_dict(self.resolution) for w in self.live_windows()
+            ],
         }
 
 

@@ -131,6 +131,10 @@ class AdmissionController:
     bucket misses flip a tenant into degraded mode.
     """
 
+    #: The ``serve.queue_depth`` gauge and histogram, resolved on the
+    #: first queue observation when telemetry is attached.
+    _queue_instruments = None
+
     def __init__(
         self,
         clock: VirtualClock | None = None,
@@ -330,10 +334,15 @@ class AdmissionController:
             ctx.queue_depth = waiting
         if self.telemetry is None:
             return
-        self.telemetry.metrics.gauge("serve.queue_depth").set(waiting)
-        self.telemetry.metrics.histogram(
-            "serve.queue_depth_samples"
-        ).observe(float(waiting))
+        if self._queue_instruments is None:
+            metrics = self.telemetry.metrics
+            self._queue_instruments = (
+                metrics.gauge("serve.queue_depth"),
+                metrics.histogram("serve.queue_depth_samples"),
+            )
+        gauge, samples = self._queue_instruments
+        gauge.set(waiting)
+        samples.observe(float(waiting))
 
     def _count(self, tenant: str, name: str) -> None:
         if self.telemetry is not None:

@@ -125,6 +125,10 @@ class ConcurrentEmulator:
     :class:`TypeError` naming the missing methods.
     """
 
+    #: The publish instruments, resolved on first use when telemetry
+    #: is attached.
+    _reclaimed = _publishes = _versions_live = None
+
     def __init__(self, inner, tenant: str = "default",
                  log: AdmittedLog | None = None,
                  telemetry=None):
@@ -260,16 +264,25 @@ class ConcurrentEmulator:
         telemetry = self.telemetry
         if telemetry is not None:
             if freed:
-                telemetry.metrics.counter("serve.reclaimed").inc(freed)
+                if self._reclaimed is None:
+                    self._reclaimed = telemetry.metrics.counter(
+                        "serve.reclaimed"
+                    )
+                self._reclaimed.inc(freed)
             # A failed write leaves the registry untouched: the cached
             # publish returns the same version object and the chain
             # no-ops — don't count (or trace) a publish that didn't
             # happen.
             if swung:
-                telemetry.metrics.counter("serve.version_publishes").inc()
-                telemetry.metrics.gauge("serve.versions_live").set(
-                    self._chain.live
-                )
+                if self._publishes is None:
+                    self._publishes = telemetry.metrics.counter(
+                        "serve.version_publishes"
+                    )
+                    self._versions_live = telemetry.metrics.gauge(
+                        "serve.versions_live"
+                    )
+                self._publishes.inc()
+                self._versions_live.set(self._chain.live)
                 with telemetry.span(
                     "serve.publish", kind="serve", tenant=self.tenant
                 ) as span:

@@ -73,7 +73,8 @@ class ConfigError(ValueError):
 class _GuardedBackend:
     """Validation + admission in front of one tenant's backend stack."""
 
-    __slots__ = ("frontdoor", "tenant_name", "inner", "_emulator")
+    __slots__ = ("frontdoor", "tenant_name", "inner", "_emulator",
+                 "_requests")
 
     def __init__(self, frontdoor: "FrontDoor", tenant_name: str, inner):
         self.frontdoor = frontdoor
@@ -110,9 +111,14 @@ class _GuardedBackend:
         front = self.frontdoor
         params = params or {}
         if front.telemetry is not None:
-            front.telemetry.metrics.counter(
-                "serve.requests", tenant=self.tenant_name
-            ).inc()
+            # This tenant's counter, resolved on its first request.
+            try:
+                requests = self._requests
+            except AttributeError:
+                requests = self._requests = front.telemetry.metrics.counter(
+                    "serve.requests", tenant=self.tenant_name
+                )
+            requests.inc()
         rejected = front.validator.validate(api, params)
         if rejected is not None:
             return rejected

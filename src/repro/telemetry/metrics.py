@@ -158,16 +158,20 @@ class MetricsRegistry:
 
     def _get(self, factory, name: str, labels: dict):
         key = _render_key(name, labels)
-        with self._lock:
-            instrument = self._instruments.get(key)
-            if instrument is None:
-                instrument = factory(name, labels)
-                self._instruments[key] = instrument
-            elif not isinstance(instrument, factory):
-                raise TypeError(
-                    f"metric {key!r} already registered as "
-                    f"{type(instrument).__name__}"
-                )
+        # An existing instrument is returned without the lock (a dict
+        # read is atomic); only creation is serialized.
+        instrument = self._instruments.get(key)
+        if instrument is None:
+            with self._lock:
+                instrument = self._instruments.get(key)
+                if instrument is None:
+                    instrument = factory(name, labels)
+                    self._instruments[key] = instrument
+        if not isinstance(instrument, factory):
+            raise TypeError(
+                f"metric {key!r} already registered as "
+                f"{type(instrument).__name__}"
+            )
         return instrument
 
     def counter(self, name: str, **labels: object) -> Counter:

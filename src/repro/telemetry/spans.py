@@ -15,6 +15,7 @@ seconds — backoff waits, breaker cooldowns — not host wall time.
 
 from __future__ import annotations
 
+import bisect
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -99,12 +100,13 @@ class Span:
 class Tracer:
     """Builds the span tree for one run.
 
-    Strictly nested usage (``with tracer.span(...)``) per thread is
-    the only supported shape.  The span stack is thread-local, so a
-    pipeline that fans work out onto a thread pool keeps each worker's
-    spans properly nested; a worker's *root* span attaches to the
-    anchor span (see :meth:`anchored`) its orchestrator set before the
-    fan-out, so the finished tree still mirrors the run's structure.
+    Strictly nested usage per thread (``with tracer.span(...)``, or
+    :meth:`open` paired with :meth:`close`) is the only supported
+    shape.  The span stack is thread-local, so a pipeline that fans
+    work out onto a thread pool keeps each worker's spans properly
+    nested; a worker's *root* span attaches to the anchor span (see
+    :meth:`anchored`) its orchestrator set before the fan-out, so the
+    finished tree still mirrors the run's structure.
     Ids stay sequential under a lock; their assignment order between
     concurrent workers is the only nondeterminism a parallel run adds.
     """
@@ -119,10 +121,11 @@ class Tracer:
 
     @property
     def _stack(self) -> list[Span]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
+        try:
+            return self._local.stack
+        except AttributeError:
             stack = self._local.stack = []
-        return stack
+            return stack
 
     @property
     def current(self) -> Span | None:
@@ -149,58 +152,76 @@ class Tracer:
         finally:
             self._anchor = previous
 
-    @contextmanager
-    def span(self, name: str, kind: str = "", **attributes: object):
-        """Open a child span of the current span for the ``with`` body."""
+    def open(self, name: str, kind: str = "",
+             attributes: dict | None = None, file: bool = True) -> Span:
+        """Open a span as the calling thread's innermost one.
+
+        The span takes its id now and becomes a child of the current
+        (or anchor) span.  A parentless span is filed in :attr:`roots`
+        unless ``file`` is false: the caller then files it with
+        :meth:`file_root` once it decides to keep it, or never.  Pair
+        every open with :meth:`close` on the same thread.
+        """
         stack = self._stack
         parent = stack[-1] if stack else self._anchor
         with self._lock:
             self._count += 1
-            span_id = f"s{self._count}"
             record = Span(
                 name=name,
                 kind=kind,
-                span_id=span_id,
+                span_id=f"s{self._count}",
                 parent_id=parent.span_id if parent is not None else None,
                 start=self.clock.now(),
                 attributes=attributes,
             )
             if parent is not None:
                 parent.children.append(record)
-            else:
+            elif file:
                 self.roots.append(record)
         stack.append(record)
-        try:
-            yield record
-        except BaseException as error:
-            record.status = "error"
-            record.attributes.setdefault("exception", type(error).__name__)
+        return record
+
+    def close(self, span: Span, error: BaseException | None = None) -> None:
+        """End the calling thread's innermost span, ``span``.
+
+        ``error`` is the exception that ended it, if any.
+        """
+        if error is not None:
+            span.status = "error"
+            span.attributes.setdefault("exception", type(error).__name__)
             # A simulated process death carries its kill site; stamping
             # it on the span makes crash-injection runs greppable in
             # the exported trace (duck-typed: no import of the chaos
             # layer from here).
             site = getattr(error, "site", None)
             if site is not None:
-                record.attributes.setdefault("crash_site", site)
-            raise
-        finally:
-            record.end = self.clock.now()
-            stack.pop()
+                span.attributes.setdefault("crash_site", site)
+        span.end = self.clock.now()
+        self._stack.pop()
 
-    def discard_root(self, span: Span) -> bool:
-        """Drop a finished root span (and its subtree) from the trace.
+    def file_root(self, span: Span) -> None:
+        """File a root opened with ``file=False`` in :attr:`roots`.
 
-        The tail sampler's eviction hook: a request tree it decides
-        not to keep is removed wholesale, so the exported trace stays
-        bounded under load.  Returns whether the span was actually a
-        root (an attached child cannot be discarded this way).
+        Roots stay in start (span id) order even when a concurrent
+        request opened later is filed first.
         """
         with self._lock:
-            try:
-                self.roots.remove(span)
-            except ValueError:
-                return False
-        return True
+            roots = self.roots
+            if roots and _sequence(roots[-1]) > _sequence(span):
+                bisect.insort(roots, span, key=_sequence)
+            else:
+                roots.append(span)
+
+    @contextmanager
+    def span(self, name: str, kind: str = "", **attributes: object):
+        """Open a child span of the current span for the ``with`` body."""
+        record = self.open(name, kind, attributes)
+        try:
+            yield record
+        except BaseException as error:
+            self.close(record, error)
+            raise
+        self.close(record)
 
     def walk(self):
         """Every finished-or-open span, pre-order (parents first)."""
@@ -209,3 +230,8 @@ class Tracer:
             span = pending.pop()
             yield span
             pending.extend(reversed(span.children))
+
+
+def _sequence(span: Span) -> int:
+    """A tracer-issued span's position in open order."""
+    return int(span.span_id[1:])

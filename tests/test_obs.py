@@ -9,6 +9,8 @@ sampling-invariant aggregates.
 """
 
 import json
+import sys
+import threading
 
 import pytest
 
@@ -93,6 +95,19 @@ class TestWindowedStore:
         series.record(0.5, 0.9, exemplar="t-b")
         series.record(0.5, 0.5, exemplar="t-c")
         assert store.exemplar("lat", 10.0, 1.0) == "t-b"
+
+    def test_windows_are_created_on_first_write(self):
+        store = WindowedStore(resolution=1.0, capacity=8)
+        series = store.histogram("lat")
+        # The ring holds no window objects until a slot is written.
+        assert len(series._ring) == 0
+        assert series.live_windows() == []
+        for index in range(8 + 5):
+            series.record(index + 0.5, 0.01)
+        live = series.live_windows()
+        assert len(series._ring) == len(live) == 8
+        # The five oldest windows were evicted by the wrap-around.
+        assert [window.index for window in live] == list(range(5, 13))
 
     def test_export_round_trips_counts(self):
         store = WindowedStore(resolution=0.5)
@@ -296,6 +311,160 @@ class TestObsPlane:
         plane.classify(client, "InvalidParameterValue")
         assert infra.outcome == "error"
         assert client.outcome == "client_error"
+
+
+class _UnsearchableList(list):
+    """A roots list that fails the test if anything searches it."""
+
+    def remove(self, *args):
+        raise AssertionError("tracer roots were searched")
+
+    index = __contains__ = remove
+
+
+class TestDropPath:
+    """Dropped request trees are never filed, so dropping is O(1)."""
+
+    REQUESTS = 2000
+
+    def _drive(self, sample_keep):
+        clock = VirtualClock()
+        telemetry = Telemetry(service="ec2", clock=clock)
+        telemetry.tracer.roots = _UnsearchableList()
+        plane = ObsPlane(telemetry, seed=5, sample_keep=sample_keep)
+        trace_ids = []
+        for index in range(self.REQUESTS):
+            try:
+                with plane.request("tenant-0", "DescribeVpcs") as ctx:
+                    trace_ids.append(ctx.trace_id)
+                    with telemetry.span("work", kind="test"):
+                        clock.sleep(0.001)
+                    if index % 97 == 0:
+                        raise RuntimeError("forced")
+                    plane.classify(ctx, "")
+            except RuntimeError:
+                pass
+        return telemetry, plane, trace_ids
+
+    def test_only_kept_traces_are_filed(self):
+        telemetry, plane, trace_ids = self._drive(0.05)
+        roots = telemetry.tracer.roots
+        sampler = plane.sampler
+        assert 0 < sampler.kept < self.REQUESTS
+        assert sampler.kept_by_reason["error"] == len(range(0, 2000, 97))
+        assert len(roots) == sampler.kept
+        kept = [root.attributes["trace_id"] for root in roots]
+        kept_set = set(kept)
+        assert kept == [tid for tid in trace_ids if tid in kept_set]
+        # Each request opens its root and one child span, and a dropped
+        # tree still takes its ids: request i's root is s(2i + 1).
+        position = {tid: i for i, tid in enumerate(trace_ids)}
+        assert [root.span_id for root in roots] == [
+            f"s{2 * position[tid] + 1}" for tid in kept
+        ]
+        # Nothing of a dropped request is reachable.
+        walked = [span.span_id for span in telemetry.tracer.walk()]
+        expected = []
+        for root in roots:
+            expected += [root.span_id, f"s{int(root.span_id[1:]) + 1}"]
+        assert walked == expected
+
+    def test_span_ids_are_sampling_invariant(self):
+        telemetry, __, __ = self._drive(0.05)
+        everything, __, __ = self._drive(1.0)
+        by_trace = {
+            root.attributes["trace_id"]: root.span_id
+            for root in everything.tracer.roots
+        }
+        for root in telemetry.tracer.roots:
+            assert by_trace[root.attributes["trace_id"]] == root.span_id
+
+    def test_concurrent_requests_file_kept_roots_in_start_order(self):
+        telemetry = Telemetry(service="ec2")
+        telemetry.tracer.roots = _UnsearchableList()
+        plane = ObsPlane(telemetry, seed=5, sample_keep=0.5)
+        trace_ids = []
+
+        def worker(tenant):
+            for __ in range(300):
+                with plane.request(tenant, "DescribeVpcs") as ctx:
+                    trace_ids.append(ctx.trace_id)
+                    plane.classify(ctx, "")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(f"tenant-{n}",))
+                for n in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(trace_ids) == 1200
+        expected = {
+            tid for tid in trace_ids if plane.sampler._draw(tid) < 0.5
+        }
+        roots = telemetry.tracer.roots
+        assert {root.attributes["trace_id"] for root in roots} == expected
+        assert len(roots) == len(expected)
+        sequence = [int(root.span_id[1:]) for root in roots]
+        assert sequence == sorted(sequence)
+
+    def test_root_opened_first_is_filed_first(self):
+        telemetry = Telemetry(service="ec2")
+        plane = ObsPlane(telemetry, sample_keep=1.0)
+        opened, finished = threading.Event(), threading.Event()
+
+        def slow_request():
+            with plane.request("tenant-0", "RunInstances") as ctx:
+                opened.set()
+                finished.wait(timeout=30)
+                plane.classify(ctx, "")
+
+        thread = threading.Thread(target=slow_request)
+        thread.start()
+        assert opened.wait(timeout=30)
+        with plane.request("tenant-1", "DescribeVpcs") as ctx:
+            plane.classify(ctx, "")
+        finished.set()
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert [
+            (root.span_id, root.attributes["tenant"])
+            for root in telemetry.tracer.roots
+        ] == [("s1", "tenant-0"), ("s2", "tenant-1")]
+
+    def test_nested_root_stays_under_outer_span(self):
+        clock = VirtualClock()
+        telemetry = Telemetry(service="ec2", clock=clock)
+        plane = ObsPlane(telemetry, sample_keep=0.0)
+        with telemetry.span("outer") as outer:
+            with plane.request("tenant-0", "RunInstances") as ctx:
+                ctx.client_region = "us-east-1"
+                ctx.queue_depth = 3
+                ctx.registry_version = 9
+                plane.classify(ctx, "InvalidParameterValue")
+        assert plane.sampler.dropped == 1
+        (root,) = telemetry.tracer.roots
+        assert root is outer
+        (request,) = outer.children
+        assert request.name == "serve.request"
+        assert request.parent_id == outer.span_id
+        assert request.attributes == {
+            "trace_id": ctx.trace_id,
+            "tenant": "tenant-0",
+            "api": "RunInstances",
+            "outcome": "client_error",
+            "error_code": "InvalidParameterValue",
+            "client_region": "us-east-1",
+            "queue_depth": 3,
+            "registry.version": 9,
+        }
 
 
 class TestBreakerStateExport:

@@ -44,6 +44,19 @@ class TestSpans:
         ids = [span.span_id for span in tele.tracer.walk()]
         assert ids == ["s1", "s2"]
 
+    def test_unfiled_roots_are_filed_in_start_order(self):
+        tracer = Telemetry().tracer
+        first = tracer.open("a", file=False)
+        tracer.close(first)
+        second = tracer.open("b", file=False)
+        tracer.close(second)
+        with tracer.span("c"):
+            pass
+        assert [span.name for span in tracer.roots] == ["c"]
+        tracer.file_root(second)
+        tracer.file_root(first)
+        assert [span.span_id for span in tracer.roots] == ["s1", "s2", "s3"]
+
     def test_exception_marks_span_errored(self):
         tele = Telemetry()
         with pytest.raises(RuntimeError):
