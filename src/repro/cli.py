@@ -287,8 +287,17 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         log_path = front.admitted.dump_jsonl(args.log) if args.log else None
         if args.shards:
             supervisor = front.supervisor
+            served = {
+                stats["shard"]: stats["requests"]
+                for stats in supervisor.shard_stats()
+            }
             shard_summary = {
                 "shards": supervisor.shards,
+                # Requests each shard's current generation served.
+                "requests": [
+                    served.get(index, 0)
+                    for index in range(supervisor.shards)
+                ],
                 "restarts": supervisor.restarts,
                 "restart_log": list(supervisor.restart_log),
                 "recovery_failures": list(supervisor.recovery_failures),

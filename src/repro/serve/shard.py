@@ -7,16 +7,21 @@ tenant -> shard hash) and puts a supervising parent in front:
 
 - :class:`ShardSupervisor` spawns the workers (``multiprocessing``
   spawn context — restart-safe while request threads are live), speaks
-  a correlation-id RPC over duplex pipes, heartbeats every shard on a
+  a correlation-id RPC over a pool of ``PIPES_PER_SHARD`` socket pairs
+  per shard (a request checks one pipe out for its round trip; no lock
+  is held across it), heartbeats every shard on a
   virtual-clock-compatible loop, and restarts dead workers
   automatically with the next entry of a seeded per-shard kill-schedule
   queue (so injected restart storms converge: the queue drains and the
-  shard comes back clean).
+  shard comes back clean).  Both sides speak one frame codec
+  (:class:`_Pipe`): a 4-byte length and a pickle, one ``os.write`` per
+  frame, one buffered ``os.read`` per reply.
 - Each :class:`_ShardWorker` owns a private durability directory: a
   CRC-framed tenant-tagged **write-attempt log** (:class:`ShardLog`,
   the ``mid-serve-wal-append`` kill site — a crash there leaves a
   deliberately torn half-line) plus per-tenant snapshot files written
-  atomically every ``snapshot_interval`` writes.  Recovery is snapshot
+  atomically every ``snapshot_interval`` writes, each *after* the reply
+  of the write that made it due.  Recovery is snapshot
   restore + attempt-log tail replay, then a self-check: a full
   from-scratch replay of every tenant's attempts must be
   **byte-identical** to the recovered registry, and any divergence is
@@ -44,6 +49,11 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import pickle
+import queue
+import select
+import socket
+import struct
 import tempfile
 import threading
 import time
@@ -86,8 +96,14 @@ SHARD_WAL_NAME = "shard.wal"
 CRASH_EXIT_CODE = 23
 
 #: Wall seconds the parent waits on one shard RPC reply (and on a
-#: worker's shutdown acknowledgement) before calling the shard down.
+#: worker's shutdown acknowledgement) before giving up on it.  It is
+#: the kernel receive timeout (``SO_RCVTIMEO``) of the parent's pipes.
 RPC_TIMEOUT = 30.0
+
+#: Duplex pipes per shard.  A request checks one out for its round
+#: trip, so this many requests to one shard can be in flight; the
+#: worker still runs them one at a time, in arrival order.
+PIPES_PER_SHARD = 4
 
 #: Wall seconds a freshly spawned worker has to recover and say hello.
 SPAWN_TIMEOUT = 60.0
@@ -113,6 +129,108 @@ def _safe_name(tenant: str) -> str:
     return "".join(
         ch if ch.isalnum() or ch in "-_" else "_" for ch in tenant
     )
+
+
+# ---------------------------------------------------------------------------
+# The frame codec (both sides of every shard pipe)
+# ---------------------------------------------------------------------------
+
+#: A frame's length prefix: the layout ``multiprocessing.Connection``
+#: uses for frames under 2 GiB.
+_HEADER = struct.Struct("!i")
+
+#: Bytes asked of one ``os.read``: a typical reply arrives whole.
+_READ_BYTES = 1 << 16
+
+#: ``SO_RCVTIMEO`` for the parent's ends (a ``struct timeval``).
+_RPC_RCVTIMEO = struct.pack(
+    "ll", int(RPC_TIMEOUT), int(RPC_TIMEOUT % 1 * 1e6)
+)
+
+
+class _Pipe:
+    """One end of a shard socket pair, speaking the frame codec.
+
+    A frame is a 4-byte big-endian length and a pickle, written with
+    one ``os.write``.  Reads land in a per-pipe buffer, one ``os.read``
+    per reply in the common case.  A dead peer shows up as ``EPIPE`` on
+    write or EOF on read; a closed pipe raises ``OSError`` (``EBADF``).
+    The parent's ends carry a kernel receive timeout of
+    ``RPC_TIMEOUT``, so a blocking read from a wedged worker ends in
+    ``BlockingIOError``.
+    """
+
+    __slots__ = ("sock", "fd", "buffer", "generation", "last_id")
+
+    def __init__(self, sock: socket.socket, generation: int = 0):
+        self.sock = sock
+        self.fd = sock.fileno()
+        self.buffer = bytearray()
+        #: The worker generation this pipe talks to (parent side).
+        self.generation = generation
+        self.last_id = 0
+
+    def send(self, message: dict) -> None:
+        body = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
+        frame = _HEADER.pack(len(body)) + body
+        written = os.write(self.fd, frame)
+        while written < len(frame):  # larger than the socket buffer
+            written += os.write(self.fd, frame[written:])
+
+    def pop(self) -> dict | None:
+        """The next whole frame in the buffer, decoded, or ``None``."""
+        buffer = self.buffer
+        if len(buffer) < 4:
+            return None
+        end = 4 + _HEADER.unpack_from(buffer)[0]
+        if len(buffer) < end:
+            return None
+        body = buffer[4:end]
+        del buffer[:end]
+        return pickle.loads(body)
+
+    def fill(self) -> None:
+        """One read into the buffer; ``EOFError`` when the peer is gone."""
+        chunk = os.read(self.fd, _READ_BYTES)
+        if not chunk:
+            raise EOFError("shard pipe closed by its peer")
+        self.buffer += chunk
+
+    def recv(self, deadline: float | None = None) -> dict | None:
+        """The next frame.  With ``deadline`` (a ``time.monotonic``
+        instant) it polls before each read and returns ``None`` once
+        the deadline passes; without, the read blocks."""
+        while True:
+            message = self.pop()
+            if message is not None:
+                return message
+            if deadline is not None:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    return None
+                poller = select.poll()
+                poller.register(self.fd, select.POLLIN)
+                if not poller.poll(remaining * 1000.0):
+                    return None
+            self.fill()
+
+    def call(self, payload: dict,
+             deadline: float | None = None) -> dict | None:
+        """Send one request and return its reply (``None`` past
+        ``deadline``).  Replies to earlier requests that gave up
+        waiting carry older ids and are dropped here."""
+        self.last_id += 1
+        mid = self.last_id
+        self.send({**payload, "id": mid})
+        while True:
+            reply = self.recv(deadline)
+            if reply is None or reply.get("id") == mid:
+                return reply
+
+    def close(self) -> None:
+        if self.fd >= 0:
+            self.fd = -1
+            self.sock.close()
 
 
 # ---------------------------------------------------------------------------
@@ -204,11 +322,12 @@ class ShardConfig:
 class _ShardWorker:
     """One shard's serving state inside its worker process.
 
-    The serve loop is single-threaded (the supervisor serializes RPC
-    per shard), so per-request work needs no locking here; the
-    :class:`ConcurrentEmulator` wrap is still used for its MVCC
-    publish/pin surface (torn-free snapshots, version accounting, and
-    the ``mid-publish`` kill site).
+    The serve loop is single-threaded (one ``poll`` loop serves every
+    pipe of the shard, one request at a time), so per-request work
+    needs no locking here and the attempt log's order is execution
+    order; the :class:`ConcurrentEmulator` wrap is still used for its
+    MVCC publish/pin surface (torn-free snapshots, version accounting,
+    and the ``mid-publish`` kill site).
     """
 
     def __init__(self, config: ShardConfig):
@@ -223,6 +342,9 @@ class _ShardWorker:
                             fsync=config.fsync)
         self._emulators: dict[str, ConcurrentEmulator] = {}
         self._writes_since_snapshot: dict[str, int] = {}
+        #: Tenants whose periodic snapshot is due at the next
+        #: :meth:`checkpoint`.
+        self._snapshot_due: set[str] = set()
         self.requests = 0
         self.writes = 0
         self.recovery = self._recover()
@@ -326,28 +448,40 @@ class _ShardWorker:
         self.writes += 1
         self.log.append(tenant, api, params)
         response = concurrent.invoke(api, params)
-        self._maybe_snapshot(tenant, concurrent)
+        self._count_write(tenant)
         return response
 
     def reset(self, tenant: str) -> None:
         concurrent = self._tenant(tenant)
         self.log.append_reset(tenant)
         concurrent.reset()
-        self._maybe_snapshot(tenant, concurrent)
+        self._count_write(tenant)
 
-    def _maybe_snapshot(self, tenant: str,
-                        concurrent: ConcurrentEmulator,
-                        force: bool = False) -> None:
+    def _count_write(self, tenant: str) -> None:
         count = self._writes_since_snapshot.get(tenant, 0) + 1
-        if not force and count < self.config.snapshot_interval:
+        if count < self.config.snapshot_interval:
             self._writes_since_snapshot[tenant] = count
             return
         self._writes_since_snapshot[tenant] = 0
+        self._snapshot_due.add(tenant)
+
+    def checkpoint(self) -> None:
+        """Write the periodic snapshots that writes made due.
+
+        The serve loop runs this after the write's reply is on the
+        pipe, so a snapshot never delays a reply.  A crash before it
+        runs loses nothing: the attempt was logged before dispatch, so
+        recovery replays it from the older snapshot plus the log tail.
+        """
+        while self._snapshot_due:
+            self._write_snapshot(self._snapshot_due.pop())
+
+    def _write_snapshot(self, tenant: str) -> None:
         write_snapshot(self._snapshot_path(tenant), {
             "tenant": tenant,
             "shard": self.config.index,
             "shard_seq": self.log.seq,
-            "snapshot": concurrent.snapshot(),
+            "snapshot": self._emulators[tenant].snapshot(),
         }, fsync=self.config.fsync)
 
     # -- introspection ops --------------------------------------------------
@@ -385,114 +519,126 @@ class _ShardWorker:
 
     def shutdown(self) -> None:
         """Final snapshots for every tenant, then close the log."""
-        for tenant, concurrent in self._emulators.items():
-            self._maybe_snapshot(tenant, concurrent, force=True)
+        for tenant in self._emulators:
+            self._write_snapshot(tenant)
         self.log.close()
 
 
-def _worker_main(config: ShardConfig, conn) -> None:
+def _serve(worker: _ShardWorker, message: dict) -> dict:
+    """One request frame's reply (the worker's whole op table)."""
+    mid = message.get("id")
+    op = message.get("op")
+    if op == "invoke":
+        remaining = message.get("deadline_remaining")
+        if remaining is not None and remaining <= 0:
+            # The budget died in transit: answer honestly before the
+            # WAL or the emulator spend any work.
+            response = expired_response("shard")
+        else:
+            response = worker.invoke(
+                message["tenant"], message["api"],
+                dict(message.get("params") or {}),
+            )
+        # ``data`` crosses as is: the pickle keeps dicts and tuples.
+        return {
+            "id": mid, "ok": True, "success": response.success,
+            "data": response.data,
+            "error_code": response.error_code,
+            "error_message": response.error_message,
+        }
+    if op == "ping":
+        return {"id": mid, "ok": True, "pid": os.getpid()}
+    if op == "snapshot":
+        return {
+            "id": mid, "ok": True,
+            "snapshot": worker.snapshot(message["tenant"]),
+        }
+    if op == "admitted":
+        return {"id": mid, "ok": True, "records": worker.admitted()}
+    if op == "stats":
+        return {"id": mid, "ok": True, **worker.stats()}
+    if op == "recovery":
+        return {"id": mid, "ok": True, "recovery": worker.recovery}
+    if op == "reset":
+        worker.reset(message["tenant"])
+        return {"id": mid, "ok": True}
+    if op == "stall":
+        # Test/ops aid: a slow-but-alive worker (heartbeats must not
+        # false-positive kill it).
+        time.sleep(float(message.get("seconds", 0.0)))
+        return {"id": mid, "ok": True}
+    if op == "shutdown":
+        worker.shutdown()
+        return {"id": mid, "ok": True}
+    return {"id": mid, "ok": False, "error": f"unknown op {op!r}"}
+
+
+def _worker_main(config: ShardConfig, socks: list) -> None:
     """Child-process entry: recover, say hello, serve until told not to.
 
+    One ``select.poll`` loop serves every pipe of the shard on this
+    one thread, so requests run one at a time in the order their frames
+    are read.  A write's due snapshot runs after its reply is written.
     An injected :class:`SimulatedCrash` anywhere in request handling
     exits immediately via ``os._exit`` — no reply, no flush, no
     cleanup — which is exactly the failure the supervisor must detect
-    and repair.
+    and repair.  EOF on any pipe means the parent retired this worker.
     """
+    pipes = [_Pipe(sock) for sock in socks]
+    hello_pipe = pipes[0]
     try:
         worker = _ShardWorker(config)
     except Exception as error:  # startup is the one place we report
         try:
-            conn.send({
+            hello_pipe.send({
                 "type": "hello", "shard": config.index, "ok": False,
                 "error": f"{type(error).__name__}: {error}",
             })
         except OSError:
             pass
         os._exit(1)
-    conn.send({
+    hello_pipe.send({
         "type": "hello", "shard": config.index, "ok": True,
         "pid": os.getpid(), "recovery": worker.recovery,
         "torn_dropped": worker.log.dropped,
     })
     if config.kill_schedule:
         install_kill_switch(dict(config.kill_schedule))
-    running = True
-    while running:
-        try:
-            message = conn.recv()
-        except (EOFError, OSError):
-            break  # parent went away; die quietly
-        mid = message.get("id")
-        op = message.get("op")
-        try:
-            if op == "invoke":
-                remaining = message.get("deadline_remaining")
-                if remaining is not None and remaining <= 0:
-                    # The budget died in transit: answer honestly
-                    # before the WAL or the emulator spend any work.
-                    expired = expired_response("shard")
+    by_fd = {pipe.fd: pipe for pipe in pipes}
+    poller = select.poll()
+    for fd in by_fd:
+        poller.register(fd, select.POLLIN)
+    while True:
+        for fd, __ in poller.poll():
+            pipe = by_fd[fd]
+            try:
+                pipe.fill()
+            except (EOFError, OSError):
+                os._exit(0)  # parent went away; die quietly
+            while (message := pipe.pop()) is not None:
+                try:
+                    reply = _serve(worker, message)
+                except SimulatedCrash:
+                    os._exit(CRASH_EXIT_CODE)
+                except Exception as error:  # app-level: worker survives
                     reply = {
-                        "id": mid, "ok": True, "success": False,
-                        "data": encode_value(expired.data),
-                        "error_code": expired.error_code,
-                        "error_message": expired.error_message,
+                        "id": message.get("id"), "ok": False,
+                        "error": f"{type(error).__name__}: {error}",
                     }
-                else:
-                    response = worker.invoke(
-                        message["tenant"], message["api"],
-                        dict(message.get("params") or {}),
-                    )
-                    reply = {
-                        "id": mid, "ok": True,
-                        "success": response.success,
-                        "data": encode_value(response.data),
-                        "error_code": response.error_code,
-                        "error_message": response.error_message,
-                    }
-            elif op == "ping":
-                reply = {"id": mid, "ok": True, "pid": os.getpid()}
-            elif op == "snapshot":
-                reply = {
-                    "id": mid, "ok": True,
-                    "snapshot": worker.snapshot(message["tenant"]),
-                }
-            elif op == "admitted":
-                reply = {
-                    "id": mid, "ok": True, "records": worker.admitted()
-                }
-            elif op == "stats":
-                reply = {"id": mid, "ok": True, **worker.stats()}
-            elif op == "recovery":
-                reply = {
-                    "id": mid, "ok": True, "recovery": worker.recovery
-                }
-            elif op == "reset":
-                worker.reset(message["tenant"])
-                reply = {"id": mid, "ok": True}
-            elif op == "stall":
-                # Test/ops aid: a slow-but-alive worker (heartbeats
-                # must not false-positive kill it).
-                time.sleep(float(message.get("seconds", 0.0)))
-                reply = {"id": mid, "ok": True}
-            elif op == "shutdown":
-                worker.shutdown()
-                reply = {"id": mid, "ok": True}
-                running = False
-            else:
-                reply = {"id": mid, "ok": False,
-                         "error": f"unknown op {op!r}"}
-        except SimulatedCrash:
-            os._exit(CRASH_EXIT_CODE)
-        except Exception as error:  # app-level: worker survives
-            reply = {
-                "id": mid, "ok": False,
-                "error": f"{type(error).__name__}: {error}",
-            }
-        try:
-            conn.send(reply)
-        except (BrokenPipeError, OSError):
-            break
-    os._exit(0)
+                try:
+                    pipe.send(reply)
+                except OSError:
+                    os._exit(0)
+                if message.get("op") == "shutdown":
+                    os._exit(0)
+                try:
+                    worker.checkpoint()
+                except SimulatedCrash:
+                    os._exit(CRASH_EXIT_CODE)
+                except Exception:
+                    # A failed snapshot leaves the older one plus the
+                    # log tail, which recovery replays exactly.
+                    pass
 
 
 # ---------------------------------------------------------------------------
@@ -504,21 +650,24 @@ class _ShardHandle:
     """The parent's view of one shard worker."""
 
     __slots__ = (
-        "index", "process", "conn", "lock", "generation", "next_id",
-        "misses", "restarts", "restarting", "recovery",
-        "last_restart_seconds",
+        "index", "process", "pool", "swap", "generation", "misses",
+        "restarts", "restarting", "recovery", "last_restart_seconds",
     )
 
     def __init__(self, index: int):
         self.index = index
         self.process = None
-        self.conn = None
-        #: Serializes RPC per shard *and* doubles as the liveness
-        #: signal the heartbeat reads: held == a request is in flight,
-        #: so the worker is busy, not dead.
-        self.lock = threading.Lock()
+        #: The free pipes of the current generation.  A request checks
+        #: one out for its round trip, so a pipe missing from the pool
+        #: is the liveness signal the heartbeat reads: a request is in
+        #: flight, so the worker is busy, not dead.  A restart refills
+        #: this same pool with the next generation's pipes.
+        self.pool: queue.SimpleQueue = queue.SimpleQueue()
+        #: Serializes the operations that take every pipe (restart,
+        #: shutdown) so two of them never split the pool between them
+        #: and wait on each other.  Requests never take it.
+        self.swap = threading.Lock()
         self.generation = 0
-        self.next_id = 0
         self.misses = 0
         self.restarts = 0
         self.restarting = False
@@ -532,10 +681,13 @@ class ShardSupervisor:
     The heartbeat loop is virtual-clock compatible: :meth:`tick` is a
     plain method tests drive deterministically (stamping events on the
     shared :class:`VirtualClock`), and ``heartbeat=True`` additionally
-    runs it from a small wall-clock thread for live serving.  A shard
-    whose RPC lock is busy is *alive by definition* (a request is in
-    flight) — slow-but-alive workers are never false-positive killed;
-    only a free-lock ping timeout counts as a miss, and only
+    runs it from a small wall-clock thread for live serving.  Each
+    shard has a pool of ``PIPES_PER_SHARD`` pipes and a request holds
+    one for its round trip, so several requests to one shard are in
+    flight at once and none waits on a lock.  A shard with any pipe
+    checked out is *alive by definition* (a request is in flight) —
+    slow-but-alive workers are never pinged or false-positive killed;
+    only a ping timeout with every pipe free counts as a miss, and only
     ``max_misses`` consecutive misses trigger a restart.
 
     ``kill_schedules`` maps shard index -> an ordered queue of
@@ -598,9 +750,10 @@ class ShardSupervisor:
         self._handles = []
         for index in range(max(1, shards)):
             handle = _ShardHandle(index)
-            process, conn, hello = self._launch(index, generation=0)
+            process, pipes, hello = self._launch(index, generation=0)
             handle.process = process
-            handle.conn = conn
+            for pipe in pipes:
+                handle.pool.put(pipe)
             self._adopt_hello(handle, hello)
             self._handles.append(handle)
         self._hb_stop: threading.Event | None = None
@@ -636,29 +789,49 @@ class ShardSupervisor:
             fsync=self.fsync,
             kill_schedule=self._next_schedule(index),
         )
-        parent_conn, child_conn = self._ctx.Pipe()
+        pairs = [socket.socketpair() for __ in range(PIPES_PER_SHARD)]
         process = self._ctx.Process(
-            target=_worker_main, args=(config, child_conn),
+            target=_worker_main,
+            args=(config, [child for __, child in pairs]),
             name=f"repro-shard-{index}-g{generation}", daemon=True,
         )
-        process.start()
-        child_conn.close()
-        deadline = time.monotonic() + SPAWN_TIMEOUT
-        while not parent_conn.poll(0.05):
-            if time.monotonic() > deadline or not process.is_alive():
-                process.terminate()
-                raise RuntimeError(
-                    f"shard {index} failed to start "
-                    f"(generation {generation})"
-                )
-        hello = parent_conn.recv()
-        if not hello.get("ok", False):
-            process.join(timeout=5)
-            raise RuntimeError(
-                f"shard {index} failed during recovery: "
-                f"{hello.get('error', 'unknown error')}"
+        pipes = []
+        for ours, __ in pairs:
+            ours.setsockopt(
+                socket.SOL_SOCKET, socket.SO_RCVTIMEO, _RPC_RCVTIMEO
             )
-        return process, parent_conn, hello
+            pipes.append(_Pipe(ours, generation))
+        try:
+            try:
+                process.start()
+            finally:
+                for __, child in pairs:
+                    child.close()
+            deadline = time.monotonic() + SPAWN_TIMEOUT
+            while True:
+                try:
+                    hello = pipes[0].recv(time.monotonic() + 0.05)
+                except (EOFError, OSError):
+                    hello = {"ok": False, "error": "exited before hello"}
+                if hello is not None:
+                    break
+                if time.monotonic() > deadline or not process.is_alive():
+                    process.terminate()
+                    raise RuntimeError(
+                        f"shard {index} failed to start "
+                        f"(generation {generation})"
+                    )
+            if not hello.get("ok", False):
+                process.join(timeout=5)
+                raise RuntimeError(
+                    f"shard {index} failed during recovery: "
+                    f"{hello.get('error', 'unknown error')}"
+                )
+        except BaseException:
+            for pipe in pipes:
+                pipe.close()
+            raise
+        return process, pipes, hello
 
     def _adopt_hello(self, handle: _ShardHandle, hello: dict) -> None:
         handle.recovery = list(hello.get("recovery", []))
@@ -674,61 +847,56 @@ class ShardSupervisor:
 
     # -- RPC ---------------------------------------------------------------
 
-    def request(self, index: int, payload: dict,
-                timeout: float | None = None) -> dict | None:
+    def request(self, index: int, payload: dict) -> dict | None:
         """One correlation-id RPC to a shard; ``None`` == unavailable.
 
-        Fails fast when the worker process is dead (a final drain poll
-        catches a reply that was already in the pipe) and discards
-        stale replies left over from a previously timed-out request.
+        Checks one of the shard's pipes out of its pool for the round
+        trip; while a restart holds the pool the call waits for the
+        new generation's pipes.  A dead worker fails fast (``EPIPE``
+        on write or EOF on read) and kicks a restart; a worker silent
+        for ``RPC_TIMEOUT`` returns ``None`` and leaves the verdict to
+        the heartbeat.
         """
         handle = self._handles[index]
-        timeout = RPC_TIMEOUT if timeout is None else timeout
-        with handle.lock:
-            if not handle.process.is_alive():
-                self._note_down(handle)
-                return None
-            handle.next_id += 1
-            mid = handle.next_id
-            try:
-                handle.conn.send({**payload, "id": mid})
-            except (BrokenPipeError, OSError):
-                self._note_down(handle)
-                return None
-            deadline = time.monotonic() + timeout
-            while True:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return None  # stuck worker: heartbeats decide
-                try:
-                    ready = handle.conn.poll(min(0.05, remaining))
-                except (BrokenPipeError, OSError):
-                    self._note_down(handle)
-                    return None
-                if ready:
-                    try:
-                        reply = handle.conn.recv()
-                    except (EOFError, OSError):
-                        self._note_down(handle)
-                        return None
-                    if reply.get("id") == mid:
-                        return reply
-                    continue  # stale reply: drop, keep waiting
-                if not handle.process.is_alive():
-                    # One last drain: the reply may have raced death.
-                    if handle.conn.poll(0):
-                        continue
-                    self._note_down(handle)
-                    return None
+        pool = handle.pool
+        pipe = pool.get()
+        try:
+            return pipe.call(payload)
+        except BlockingIOError:
+            return None  # stuck worker: heartbeats decide
+        except (EOFError, OSError):
+            self._note_down(handle, pipe.generation)
+            return None
+        finally:
+            pool.put(pipe)
 
-    def _note_down(self, handle: _ShardHandle) -> None:
-        """Record a dead shard; kick an async restart (caller holds
-        the handle lock, so the restart thread proceeds only after the
-        failed request returns)."""
+    def in_flight(self, index: int) -> int:
+        """Pipes of shard ``index`` checked out right now: requests in
+        flight, or all of them while a restart or shutdown holds the
+        pool."""
+        return PIPES_PER_SHARD - self._handles[index].pool.qsize()
+
+    def _checkout_all(self, handle: _ShardHandle,
+                      block: bool = True) -> list | None:
+        """Every pipe of ``handle``, once requests in flight return
+        theirs; non-blocking, ``None`` unless all are free now."""
+        pipes = []
+        try:
+            while len(pipes) < PIPES_PER_SHARD:
+                pipes.append(handle.pool.get(block))
+        except queue.Empty:
+            for pipe in pipes:
+                handle.pool.put(pipe)
+            return None
+        return pipes
+
+    def _note_down(self, handle: _ShardHandle, generation: int) -> None:
+        """Record a dead shard; kick an async restart of ``generation``
+        (a no-op if that generation was already replaced)."""
         if self.telemetry is not None:
             self.telemetry.event(
                 "shard.down", shard=handle.index,
-                generation=handle.generation,
+                generation=generation,
                 at=round(self.clock.now(), 9),
             )
         self._notify_health(handle.index, alive=False)
@@ -736,7 +904,7 @@ class ShardSupervisor:
             return
         handle.restarting = True
         thread = threading.Thread(
-            target=self._restart, args=(handle, handle.generation),
+            target=self._restart, args=(handle, generation),
             name=f"repro-shard-restart-{handle.index}", daemon=True,
         )
         self._restart_threads.append(thread)
@@ -748,39 +916,47 @@ class ShardSupervisor:
                  expected_generation: int) -> bool:
         """Replace a dead (or stuck) worker with a freshly recovered one.
 
-        Generation-checked so racing detectors (request threads, the
-        heartbeat loop) restart a shard exactly once.
+        Takes every pipe first — requests in flight finish, new ones
+        wait — and puts the next generation's pipes into the same
+        pool.  Generation-checked so racing detectors (request
+        threads, the heartbeat loop) restart a shard exactly once.
         """
         try:
-            with handle.lock:
+            with handle.swap:
                 if self._closed:
                     return False
                 if handle.generation != expected_generation:
                     return False  # someone else already restarted it
-                started = time.perf_counter()
-                if handle.process.is_alive():
-                    handle.process.terminate()
-                handle.process.join(timeout=10)
+                pipes = self._checkout_all(handle)
                 try:
-                    handle.conn.close()
-                except OSError:
-                    pass
-                generation = handle.generation + 1
-                process, conn, hello = self._launch(
-                    handle.index, generation
-                )
-                handle.process = process
-                handle.conn = conn
-                handle.generation = generation
-                handle.misses = 0
-                handle.restarts += 1
-                self._adopt_hello(handle, hello)
-                seconds = time.perf_counter() - started
-                handle.last_restart_seconds = seconds
-                replayed = sum(
-                    report.get("replayed", 0)
-                    for report in handle.recovery
-                )
+                    started = time.perf_counter()
+                    if handle.process.is_alive():
+                        handle.process.terminate()
+                    handle.process.join(timeout=10)
+                    for pipe in pipes:
+                        pipe.close()
+                    generation = handle.generation + 1
+                    handle.process, pipes, hello = self._launch(
+                        handle.index, generation
+                    )
+                    handle.generation = generation
+                    handle.misses = 0
+                    handle.restarts += 1
+                    self._adopt_hello(handle, hello)
+                    seconds = time.perf_counter() - started
+                    handle.last_restart_seconds = seconds
+                    replayed = sum(
+                        report.get("replayed", 0)
+                        for report in handle.recovery
+                    )
+                finally:
+                    # Settled before the pool reopens, so a request
+                    # that finds the new worker dead restarts it.
+                    # After a failed launch these are the closed old
+                    # pipes: requests fail fast and retry the restart.
+                    handle.restarting = False
+                    for pipe in pipes:
+                        handle.pool.put(pipe)
         finally:
             handle.restarting = False
         self.restart_log.append({
@@ -860,16 +1036,19 @@ class ShardSupervisor:
                     if self._restart(handle, handle.generation):
                         seen["restarted"] += 1
                 continue
-            if not handle.lock.acquire(blocking=False):
+            pipes = self._checkout_all(handle, block=False)
+            if pipes is None:
                 # A request is in flight: the worker is busy, therefore
-                # alive.  Never count a miss against a working shard.
+                # alive.  Never ping or count a miss against it.
                 handle.misses = 0
                 seen["busy"] += 1
                 continue
+            process, generation = handle.process, handle.generation
             try:
-                ok = self._ping_locked(handle)
+                ok = self._ping(pipes[0])
             finally:
-                handle.lock.release()
+                for pipe in pipes:
+                    handle.pool.put(pipe)
             if ok:
                 handle.misses = 0
                 seen["alive"] += 1
@@ -879,32 +1058,18 @@ class ShardSupervisor:
             self._export_miss(handle)
             if handle.misses >= self.max_misses:
                 # Stuck-but-running worker: treat as dead.
-                handle.process.terminate()
+                process.terminate()
                 if self.auto_restart:
-                    if self._restart(handle, handle.generation):
+                    if self._restart(handle, generation):
                         seen["restarted"] += 1
         return seen
 
-    def _ping_locked(self, handle: _ShardHandle) -> bool:
-        handle.next_id += 1
-        mid = handle.next_id
-        try:
-            handle.conn.send({"op": "ping", "id": mid})
-        except (BrokenPipeError, OSError):
-            return False
+    def _ping(self, pipe: _Pipe) -> bool:
         deadline = time.monotonic() + self.heartbeat_timeout
-        while time.monotonic() < deadline:
-            try:
-                if not handle.conn.poll(0.02):
-                    if not handle.process.is_alive():
-                        return False
-                    continue
-                reply = handle.conn.recv()
-            except (EOFError, BrokenPipeError, OSError):
-                return False
-            if reply.get("id") == mid:
-                return True
-        return False
+        try:
+            return pipe.call({"op": "ping"}, deadline) is not None
+        except (EOFError, OSError):
+            return False
 
     def _export_miss(self, handle: _ShardHandle) -> None:
         telemetry = self.telemetry
@@ -1020,8 +1185,10 @@ class ShardSupervisor:
 
     def close(self) -> None:
         """Graceful shutdown: stop restarts, drain in-flight requests
-        (the per-shard lock serializes behind them), flush final
-        snapshots, and reap every worker."""
+        (taking every pipe of a shard waits for the requests holding
+        them), flush final snapshots, and reap every worker.  The
+        closed pipes go back into the pools, so later requests return
+        ``None`` at once."""
         self._closed = True
         if self._hb_stop is not None:
             self._hb_stop.set()
@@ -1031,26 +1198,17 @@ class ShardSupervisor:
         for thread in self._restart_threads:
             thread.join(timeout=10)
         for handle in self._handles:
-            with handle.lock:  # waits for the in-flight request
-                if handle.process.is_alive():
-                    handle.next_id += 1
-                    mid = handle.next_id
-                    try:
-                        handle.conn.send({"op": "shutdown", "id": mid})
-                        deadline = time.monotonic() + RPC_TIMEOUT
-                        while time.monotonic() < deadline:
-                            if handle.conn.poll(0.05):
-                                reply = handle.conn.recv()
-                                if reply.get("id") == mid:
-                                    break
-                            elif not handle.process.is_alive():
-                                break
-                    except (BrokenPipeError, EOFError, OSError):
-                        pass
+            with handle.swap:
+                pipes = self._checkout_all(handle)  # drains in-flight
                 try:
-                    handle.conn.close()
-                except OSError:
-                    pass
+                    if handle.process.is_alive():
+                        pipes[0].call({"op": "shutdown"})
+                except (EOFError, OSError):
+                    pass  # died or timed out: reaped below
+                finally:
+                    for pipe in pipes:
+                        pipe.close()
+                        handle.pool.put(pipe)
             handle.process.join(timeout=10)
             if handle.process.is_alive():
                 handle.process.terminate()
@@ -1073,7 +1231,8 @@ class _ShardBackend:
 
     Looks like a :class:`ConcurrentEmulator` to the serving stack
     (classification, reset, snapshot) but dispatches over the
-    supervisor's pipe RPC.  When the shard is down, every call sheds
+    supervisor's pipe RPC; reply data arrives unpickled, as the worker
+    built it.  When the shard is down, every call sheds
     with ``ServiceUnavailable`` + a Retry-After hint and a
     ``ShardUnavailable`` marker, which rides inside the error envelope
     the way admission throttle metadata does — clients back off for
@@ -1129,7 +1288,7 @@ class _ShardBackend:
             )
         return ApiResponse(
             success=reply["success"],
-            data=decode_value(reply["data"]),
+            data=reply["data"],
             error_code=reply.get("error_code", ""),
             error_message=reply.get("error_message", ""),
         )
@@ -1362,7 +1521,11 @@ class _MergedAdmitted:
         return [r for r in self.records if r["tenant"] == tenant]
 
     def __len__(self) -> int:
-        return len(self.records)
+        # Each log's seqs run 1..admitted with no gaps, so the counts
+        # in the stats equal the record count without shipping records.
+        return sum(
+            stats["admitted"] for stats in self.supervisor.shard_stats()
+        )
 
     def dump_jsonl(self, path: "str | Path") -> Path:
         target = Path(path)

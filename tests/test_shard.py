@@ -8,7 +8,9 @@ concurrent load, gated on the extended linearizability check and
 byte-identical recovery.
 """
 
+import json
 import os
+import random
 import threading
 import time
 
@@ -23,6 +25,7 @@ from repro.resilience.chaos import (
     install_kill_switch,
 )
 from repro.serve import (
+    FrontDoor,
     LoadGenerator,
     ShardedFrontDoor,
     ShardLog,
@@ -31,6 +34,7 @@ from repro.serve import (
     shard_for,
 )
 from repro.serve.frontdoor import canonical_snapshot
+from repro.serve.loadgen import TrafficModel
 from repro.serve.shard import (
     CRASH_EXIT_CODE,
     WORKER_KILL_SITES,
@@ -191,6 +195,7 @@ class TestShardWorkerSnapshots:
             assert worker.invoke(
                 "t", "CreatePublicIP", {"region": "us-east"}
             ).success
+            worker.checkpoint()  # the serve loop's post-reply step
         worker.log.close()
         assert worker._snapshot_path("t").exists()
         return len(calls)
@@ -200,6 +205,40 @@ class TestShardWorkerSnapshots:
 
     def test_fsync_when_enabled(self, tmp_path, monkeypatch):
         assert self._fsyncs(tmp_path, monkeypatch, fsync=True) >= 1
+
+    def test_crash_between_reply_and_checkpoint_recovers(self, tmp_path):
+        """A write's due snapshot runs after its reply.  A crash in
+        that window leaves the older snapshot on disk; recovery
+        replays the logged write on top of it, byte-identically."""
+        module = toy_module()
+        config = ShardConfig(
+            index=0, module_text=serialize_module(module),
+            service=module.service, provider=module.provider,
+            notfound_codes={}, data_dir=str(tmp_path),
+            snapshot_interval=1,
+        )
+        worker = _ShardWorker(config)
+        params = {"region": "us-east"}
+        assert worker.invoke("t", "CreatePublicIP", params).success
+        worker.checkpoint()
+        assert worker.invoke("t", "CreatePublicIP", params).success
+        # The crash: the second write's checkpoint never runs.
+        worker.log.close()
+        on_disk = json.loads(worker._snapshot_path("t").read_text())
+        assert on_disk["shard_seq"] == 1
+
+        recovered = _ShardWorker(config)
+        [report] = recovered.recovery
+        assert report["identical"]
+        assert report["snapshot_seq"] == 1
+        assert report["replayed"] == 1
+        control = Emulator(module)
+        for __ in range(2):
+            control.invoke("CreatePublicIP", dict(params))
+        assert canonical_snapshot(recovered.snapshot("t")) == (
+            canonical_snapshot(control.snapshot())
+        )
+        recovered.log.close()
 
 
 class TestSupervisor:
@@ -323,8 +362,9 @@ class TestSupervisor:
             assert stats["admitted"] == 4  # 3 crashed attempts + 1 live
 
     def test_slow_worker_is_busy_not_dead(self, tmp_path):
-        """A stalled request holds the shard's RPC lock; heartbeat
-        ticks must count it busy and never false-positive restart."""
+        """A stalled request holds one of the shard's pipes while the
+        others sit free; heartbeat ticks must count the shard busy,
+        never ping it, and never false-positive restart."""
         with ShardSupervisor(
             toy_module(), shards=1, data_dir=tmp_path,
             heartbeat_timeout=0.05, max_misses=1,
@@ -340,8 +380,7 @@ class TestSupervisor:
             thread.start()
             try:
                 assert wait_until(
-                    lambda: supervisor._handles[0].lock.locked(),
-                    timeout=5.0,
+                    lambda: supervisor.in_flight(0) > 0, timeout=5.0,
                 )
                 busy = 0
                 while thread.is_alive():
@@ -355,19 +394,18 @@ class TestSupervisor:
             assert supervisor._handles[0].misses == 0
 
     def test_stuck_worker_restarted_after_max_misses(self, tmp_path):
-        """A wedged worker with a *free* RPC lock misses pings and is
+        """A wedged worker with every pipe *free* misses pings and is
         terminated after max_misses consecutive misses."""
         with ShardSupervisor(
             toy_module(), shards=1, data_dir=tmp_path,
             heartbeat_timeout=0.05, max_misses=2,
         ) as supervisor:
             handle = supervisor._handles[0]
-            # Wedge the worker without holding the parent-side lock:
-            # the heartbeat sees a free lock but no ping replies.
-            handle.next_id += 1
-            handle.conn.send({
-                "op": "stall", "seconds": 30.0, "id": handle.next_id,
-            })
+            # Wedge the worker without keeping a pipe checked out: the
+            # heartbeat sees every pipe free but no ping replies.
+            pipe = handle.pool.get()
+            pipe.send({"op": "stall", "seconds": 30.0, "id": 0})
+            handle.pool.put(pipe)
             time.sleep(0.1)
             assert supervisor.tick()["missed"] == 1
             assert handle.misses == 1
@@ -392,7 +430,7 @@ class TestSupervisor:
         thread = threading.Thread(target=inflight)
         thread.start()
         assert wait_until(
-            lambda: supervisor._handles[0].lock.locked(), timeout=5.0
+            lambda: supervisor.in_flight(0) > 0, timeout=5.0
         )
         supervisor.close()
         thread.join(timeout=10)
@@ -452,6 +490,37 @@ class TestShardedFrontDoorFailover:
             stats = front.mvcc_stats()
             assert stats["shards"] == 2
             assert stats["restarts"] == 1
+
+    def test_admitted_len_matches_records_after_restart(self, tmp_path):
+        """``len(front.admitted)`` sums the shards' counts instead of
+        shipping every record; it still equals the record count after
+        a worker dies mid-append and restarts."""
+        module = toy_module()
+        shard = shard_for("alice", 2)
+        with ShardedFrontDoor(
+            module, lambda: Emulator(module), shards=2,
+            data_dir=tmp_path,
+            kill_schedules={shard: [{"mid-serve-wal-append": 3}]},
+        ) as front:
+            codes = []
+            for __ in range(6):
+                for key in ("alice", "bob"):
+                    response = front.invoke(
+                        "CreatePublicIP", {"region": "us-east"},
+                        api_key=key,
+                    )
+                    codes.append(response.error_code)
+                    if response.error_code == "ServiceUnavailable":
+                        assert wait_until(
+                            lambda: front.supervisor.alive(shard)
+                            and front.supervisor.generation(shard) == 1
+                        )
+            assert "ServiceUnavailable" in codes
+            assert front.supervisor.restarts == 1
+            records = front.admitted.records
+            # 12 attempts, the torn one was never admitted.
+            assert len(records) == 11
+            assert len(front.admitted) == len(records)
 
     def test_json_envelope_carries_retry_hint(self, tmp_path):
         module = toy_module()
@@ -516,6 +585,47 @@ class TestShardedFrontDoorFailover:
 @pytest.fixture(scope="module")
 def build():
     return build_learned_emulator("ec2", seed=7, align=False)
+
+
+class TestReplyFidelity:
+    """Replies cross the shard pipe as pickles, not through the
+    snapshot value codec; the wire must not tell the difference."""
+
+    @staticmethod
+    def _envelopes(front, requests: int = 150) -> list[str]:
+        model = TrafficModel.of(front)
+        rng = random.Random(41)
+        ids = {f"tenant-{index}": {} for index in range(3)}
+        out = []
+        for __ in range(requests):
+            tenant = rng.choice(sorted(ids))
+            api, params, __ = model.request(rng, 0.5, ids[tenant])
+            front.clock.sleep(0.01)
+            reply = front.handle(
+                json.dumps({"Action": api, "Parameters": params}),
+                api_key=tenant,
+            )
+            out.append(reply)
+            created = json.loads(reply).get("id")
+            if isinstance(created, str) and created:
+                ids[tenant].setdefault(
+                    model.owning_sm(api), []
+                ).append(created)
+        return out
+
+    @pytest.mark.parametrize("service", ["ec2", "dynamodb", "s3"])
+    def test_sharded_envelopes_match_in_process(self, service, tmp_path):
+        built = build_learned_emulator(service, seed=7, align=False)
+        local = self._envelopes(
+            FrontDoor(built.module, built.make_backend)
+        )
+        with ShardedFrontDoor(
+            built.module, built.make_backend, shards=2,
+            data_dir=tmp_path,
+        ) as front:
+            sharded = self._envelopes(front)
+        assert sum('"Error"' not in reply for reply in local) > 20
+        assert sharded == local
 
 
 class TestShardScenario:
@@ -587,6 +697,15 @@ class TestShardedSoak:
             }
             for shard in trafficked:
                 assert admitted.get(shard, 0) > 0
+            # Every killed shard's *current* generation served
+            # requests: restarted workers are back in service, not
+            # only counted through the records they recovered.
+            served = {
+                s["shard"]: s["requests"]
+                for s in supervisor.shard_stats()
+            }
+            for shard in schedules:
+                assert served.get(shard, 0) > 0, served
             merged = front.mvcc_stats()
             assert merged["publishes"] > 0
             assert merged["pinned_reads"] > 0
