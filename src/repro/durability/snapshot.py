@@ -241,10 +241,13 @@ def write_snapshot(path: str | Path, snapshot: dict,
                    fsync: bool = True) -> Path:
     """Persist a snapshot atomically (crash leaves old or new, whole).
 
-    ``fsync=False`` skips the durability flushes (see
-    :func:`~repro.durability.atomic.atomic_write`)."""
+    Compact separators keep ``json.dumps`` on CPython's C encoder
+    (``indent`` forces the pure-Python one); every reader parses the
+    file with ``json.loads``.  ``fsync=False`` skips the durability
+    flushes (see :func:`~repro.durability.atomic.atomic_write`)."""
     return atomic_write(
-        path, json.dumps(snapshot, indent=2, sort_keys=True) + "\n",
+        path,
+        json.dumps(snapshot, separators=(",", ":"), sort_keys=True) + "\n",
         fsync=fsync,
     )
 

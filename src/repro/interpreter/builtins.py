@@ -12,27 +12,63 @@ from __future__ import annotations
 import ipaddress
 from functools import lru_cache
 
+#: Upper bound on the CIDR cache.  The largest serve workload keeps
+#: about 14k distinct CIDR strings live (800 VPC /20s, 800 x 16 subnet
+#: /24 slots, a few hundred rule blocks); twice that fits with room
+#: to spare, at about 150 bytes an entry (~5 MB at the bound).
+CIDR_CACHE_SIZE = 1 << 15
 
-@lru_cache(maxsize=4096)
-def _parse_network(value: str) -> ipaddress.IPv4Network | None:
-    """Parse-and-memoize a CIDR string (``None`` when invalid).
+#: Longest string the cache keeps: the longest spelling without
+#: padding zeros, ``255.255.255.255/255.255.255.255``.  Longer strings
+#: are still parsed, just not kept, so a client cannot park large
+#: strings in process memory.
+CIDR_CACHED_LENGTH = 31
 
-    CIDR predicates dominate constraint checking (every subnet create
-    compares its block against all tracked siblings), and the same few
-    strings are parsed over and over; `ipaddress` parsing is by far
-    the most expensive thing a builtin does.
-    """
+#: Valid CIDR string -> its ``(first, last, prefixlen)`` integer
+#: range.  Invalid strings are never kept, so junk input cannot evict
+#: the working set.  Cleared wholesale when it reaches
+#: :data:`CIDR_CACHE_SIZE`.
+_CIDR_RANGES: dict[str, tuple[int, int, int]] = {}
+
+
+def _parse_cidr(value: str) -> tuple[int, int, int] | None:
+    """``value`` as an integer range, accepting exactly what
+    ``ipaddress.IPv4Network(value, strict=False)`` accepts, and only
+    when ``value`` contains a ``/``."""
+    if "/" not in value:
+        return None
     try:
-        return ipaddress.IPv4Network(value, strict=False)
+        network = ipaddress.IPv4Network(value, strict=False)
     except ValueError:
         return None
+    first = int(network.network_address)
+    return first, first + network.num_addresses - 1, network.prefixlen
+
+
+def cidr_range(value: object) -> tuple[int, int, int] | None:
+    """The ``(first, last, prefixlen)`` range of a CIDR block, or
+    ``None`` when ``value`` is not one.
+
+    CIDR predicates dominate constraint checking (every subnet create
+    compares its block against its VPC's and all its siblings'), so
+    each distinct valid string is parsed once and kept in a bounded
+    process-wide cache; the predicates then compare integers.
+    """
+    if not isinstance(value, str):
+        return None
+    found = _CIDR_RANGES.get(value)
+    if found is None:
+        found = _parse_cidr(value)
+        if found is not None and len(value) <= CIDR_CACHED_LENGTH:
+            if len(_CIDR_RANGES) >= CIDR_CACHE_SIZE:
+                _CIDR_RANGES.clear()
+            _CIDR_RANGES[value] = found
+    return found
 
 
 def valid_cidr(value: object) -> bool:
     """True when ``value`` is a syntactically valid IPv4 CIDR block."""
-    if not isinstance(value, str):
-        return False
-    return _parse_network(value) is not None and "/" in value
+    return cidr_range(value) is not None
 
 
 @lru_cache(maxsize=4096)
@@ -57,23 +93,26 @@ def prefix_len(value: object) -> int:
     Returning a sentinel instead of raising keeps predicates total,
     which symbolic execution (§4.3) depends on.
     """
-    if not valid_cidr(value):
-        return -1
-    return _parse_network(value).prefixlen
+    found = cidr_range(value)
+    return -1 if found is None else found[2]
 
 
 def cidr_within(inner: object, outer: object) -> bool:
     """True when CIDR ``inner`` is wholly contained in CIDR ``outer``."""
-    if not (valid_cidr(inner) and valid_cidr(outer)):
+    a = cidr_range(inner)
+    b = cidr_range(outer)
+    if a is None or b is None:
         return False
-    return _parse_network(inner).subnet_of(_parse_network(outer))
+    return b[0] <= a[0] and a[1] <= b[1]
 
 
 def cidr_overlaps(left: object, right: object) -> bool:
     """True when two CIDR blocks overlap."""
-    if not (valid_cidr(left) and valid_cidr(right)):
+    a = cidr_range(left)
+    b = cidr_range(right)
+    if a is None or b is None:
         return False
-    return _parse_network(left).overlaps(_parse_network(right))
+    return a[0] <= b[1] and b[0] <= a[1]
 
 
 def length(value: object) -> int:
@@ -121,7 +160,15 @@ def cidr_overlaps_any(block: object, blocks: object) -> bool:
     """
     if not isinstance(blocks, (list, tuple)):
         return False
-    return any(cidr_overlaps(block, other) for other in blocks)
+    a = cidr_range(block)
+    if a is None:
+        return False
+    first, last = a[0], a[1]
+    for other in blocks:
+        b = cidr_range(other)
+        if b is not None and first <= b[1] and b[0] <= last:
+            return True
+    return False
 
 
 def append(items: object, item: object) -> list:

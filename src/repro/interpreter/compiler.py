@@ -71,11 +71,13 @@ class Runtime:
 
 
 class _SpecInfo:
-    """Static facts about the owning spec, shared by its closures."""
+    """Static facts about the owning spec and the scope of the
+    transition being lowered, shared by its closures."""
 
-    __slots__ = ("spec", "state_names", "sm_states", "handleish")
+    __slots__ = ("spec", "state_names", "sm_states", "handleish",
+                 "params", "reads")
 
-    def __init__(self, spec: ast.SMSpec):
+    def __init__(self, spec: ast.SMSpec, transition: ast.Transition):
         self.spec = spec
         self.state_names = frozenset(spec.state_names())
         self.sm_states = frozenset(
@@ -86,9 +88,17 @@ class _SpecInfo:
         # live instance's Handle (Evaluator._looks_like_handle).
         self.handleish = frozenset(
             param.name
-            for transition in spec.transitions.values()
-            for param in transition.params
+            for other in spec.transitions.values()
+            for param in other.params
             if param.type.kind == "sm"
+        )
+        # Every caller binds each declared parameter (``None`` when the
+        # request omits it), so a parameter is always in scope; a
+        # ``read`` variable is in scope only once its read has run.
+        self.params = frozenset(param.name for param in transition.params)
+        self.reads = frozenset(
+            stmt.var for stmt in transition.statements()
+            if isinstance(stmt, ast.Read)
         )
 
 
@@ -109,9 +119,66 @@ def _wrap_dynamic(rt: Runtime, owner: Handle, name: str, value):
 
 # ---------------------------------------------------------------------------
 # Expressions -> (rt, subject, scope) -> value
+#
+# ``raw=True`` compiles an expression whose consumer needs no Handle:
+# an SM reference read from state or scope comes back as it is stored
+# (an id, or the Handle the binder made), so the closure skips the
+# instance lookup that wrapping an id costs.  ``_compile_plain``
+# builds on it for consumers of the *plain* form (builtin arguments,
+# comparisons, truth tests, writes, emits).
 # ---------------------------------------------------------------------------
 
-def _compile_expr(expr: ast.Expr, info: _SpecInfo):
+#: Builtins that always return a bool: a truth test of one is the call.
+_BOOL_BUILTINS = frozenset((
+    "valid_cidr", "valid_ip", "cidr_within", "cidr_overlaps",
+    "cidr_overlaps_any", "contains", "exists",
+))
+
+
+def _is_param(ident: str, info: _SpecInfo) -> bool:
+    """A declared parameter no ``read`` rebinds: always in scope."""
+    return ident in info.params and ident not in info.reads
+
+
+def _compile_plain(expr: ast.Expr, info: _SpecInfo):
+    """``expr`` compiled to return its plain (storable) form.
+
+    Committed state holds only plain values (every write stores one),
+    builtins return plain values and maps never hold a Handle, so only
+    a value taken from the scope or ``self`` can need ``_plain``; the
+    rest skip it, and with it ``_plain``'s copy of a list.
+    """
+    if isinstance(expr, ast.SelfRef):
+        def run_self_id(rt, subject, scope):
+            return subject.instance_id
+
+        return run_self_id
+    if isinstance(expr, ast.ListExpr):
+        item_fs = tuple(_compile_plain(item, info) for item in expr.items)
+
+        def run_list_plain(rt, subject, scope):
+            return [item(rt, subject, scope) for item in item_fs]
+
+        return run_list_plain
+    if isinstance(expr, ast.Name) and _is_param(expr.ident, info):
+        ident = expr.ident
+
+        def run_param_plain(rt, subject, scope):
+            value = scope[ident]
+            return value if value.__class__ is str else _plain(value)
+
+        return run_param_plain
+    expr_f = _compile_expr(expr, info, raw=True)
+    if not (isinstance(expr, ast.Name) and expr.ident in info.reads):
+        return expr_f
+
+    def run_plained(rt, subject, scope):
+        return _plain(expr_f(rt, subject, scope))
+
+    return run_plained
+
+
+def _compile_expr(expr: ast.Expr, info: _SpecInfo, raw: bool = False):
     if isinstance(expr, ast.Literal):
         value = expr.value
 
@@ -127,10 +194,10 @@ def _compile_expr(expr: ast.Expr, info: _SpecInfo):
         return run_self
 
     if isinstance(expr, ast.Name):
-        return _compile_name(expr.ident, info)
+        return _compile_name(expr.ident, info, raw)
 
     if isinstance(expr, ast.Attr):
-        return _compile_attr(expr, info)
+        return _compile_attr(expr, info, raw)
 
     if isinstance(expr, ast.ListExpr):
         item_fs = tuple(_compile_expr(item, info) for item in expr.items)
@@ -150,12 +217,35 @@ def _compile_expr(expr: ast.Expr, info: _SpecInfo):
 _ABSENT = object()
 
 
-def _compile_name(ident: str, info: _SpecInfo):
+def _compile_name(ident: str, info: _SpecInfo, raw: bool = False):
     is_id = ident == "id"
     is_state = ident in info.state_names
-    wrap = ident in info.sm_states
-    handleish = ident in info.handleish
+    wrap = ident in info.sm_states and not raw
+    handleish = ident in info.handleish and not raw
     is_enum = _is_enum_symbol(ident)
+
+    if _is_param(ident, info):
+        # Always bound: no fallback chain.
+        if not handleish:
+            def run_param(rt, subject, scope):
+                return scope[ident]
+
+            return run_param
+
+        def run_param_ref(rt, subject, scope):
+            value = scope[ident]
+            if isinstance(value, str) and rt.txn.instance(value) is not None:
+                return Handle(rt.txn, value)
+            return value
+
+        return run_param_ref
+
+    if is_state and not wrap and not is_id and ident not in info.reads:
+        # A state read that no scope variable can shadow.
+        def run_state(rt, subject, scope):
+            return rt.txn.get_state(subject.instance_id, ident)
+
+        return run_state
 
     def run_name(rt, subject, scope):
         value = scope.get(ident, _ABSENT)
@@ -183,7 +273,7 @@ def _compile_name(ident: str, info: _SpecInfo):
     return run_name
 
 
-def _compile_attr(expr: ast.Attr, info: _SpecInfo):
+def _compile_attr(expr: ast.Attr, info: _SpecInfo, raw: bool = False):
     attr = expr.attr
 
     # ``self.x``: the owner is the subject, whose spec is the owning
@@ -196,13 +286,16 @@ def _compile_attr(expr: ast.Attr, info: _SpecInfo):
                 return subject.instance_id
 
             return run_self_id
-        wrap = attr in info.sm_states
+        if raw or attr not in info.sm_states:
+            def run_self_raw(rt, subject, scope):
+                return rt.txn.get_state(subject.instance_id, attr)
+
+            return run_self_raw
 
         def run_self_attr(rt, subject, scope):
             value = rt.txn.get_state(subject.instance_id, attr)
             if (
-                wrap
-                and isinstance(value, str)
+                isinstance(value, str)
                 and value
                 and rt.txn.instance(value) is not None
             ):
@@ -212,16 +305,19 @@ def _compile_attr(expr: ast.Attr, info: _SpecInfo):
         return run_self_attr
 
     base_f = _compile_expr(expr.base, info)
+    is_id = attr == "id"
 
     def run_attr(rt, subject, scope):
         base = base_f(rt, subject, scope)
         if isinstance(base, Handle):
-            value = base.get(attr)
-            return _wrap_dynamic(rt, base, attr, value)
+            if is_id:
+                value = base.instance_id
+            else:
+                value = rt.txn.get_state(base.instance_id, attr)
+            return value if raw else _wrap_dynamic(rt, base, attr, value)
         if isinstance(base, str):
-            instance = rt.txn.instance(base)
-            if instance is not None:
-                return Handle(rt.txn, base).get(attr)
+            if rt.txn.instance(base) is not None:
+                return base if is_id else rt.txn.get_state(base, attr)
         if isinstance(base, dict):
             return base.get(attr)
         if base is None:
@@ -235,12 +331,12 @@ def _compile_attr(expr: ast.Attr, info: _SpecInfo):
 
 
 def _compile_func(expr: ast.Func, info: _SpecInfo):
-    arg_fs = tuple(_compile_expr(arg, info) for arg in expr.args)
+    arg_fs = tuple(_compile_plain(arg, info) for arg in expr.args)
     name = expr.name
 
     if name == "new_id":
         def run_new_id(rt, subject, scope):
-            args = [_plain(arg(rt, subject, scope)) for arg in arg_fs]
+            args = [arg(rt, subject, scope) for arg in arg_fs]
             prefix = str(args[0]) if args else subject.spec.name
             return rt.registry.new_id(prefix)
 
@@ -249,16 +345,24 @@ def _compile_func(expr: ast.Func, info: _SpecInfo):
     if name == "now":
         def run_now(rt, subject, scope):
             for arg in arg_fs:
-                _plain(arg(rt, subject, scope))
+                arg(rt, subject, scope)
             return rt.registry.new_id("tick")
 
         return run_now
 
     impl = PURE_BUILTINS.get(name)
     if name == "exists" and len(arg_fs) == 1:
-        # exists() is agnostic to Handle/list plaining: a Handle's id
-        # is never None/"" (Handle.__eq__ compares ids to strings), so
-        # the _plain round-trip is skippable.
+        # exists() needs no plaining: a Handle's id is never None/""
+        # (Handle.__eq__ compares ids to strings).
+        arg = expr.args[0]
+        if isinstance(arg, ast.Name) and _is_param(arg.ident, info):
+            ident = arg.ident
+
+            def run_exists_param(rt, subject, scope):
+                value = scope[ident]
+                return value is not None and value != ""
+
+            return run_exists_param
         arg0 = arg_fs[0]
 
         def run_exists(rt, subject, scope):
@@ -270,22 +374,30 @@ def _compile_func(expr: ast.Func, info: _SpecInfo):
         arg0 = arg_fs[0]
 
         def run_builtin1(rt, subject, scope):
-            return impl(_plain(arg0(rt, subject, scope)))
+            return impl(arg0(rt, subject, scope))
 
         return run_builtin1
     if impl is not None and len(arg_fs) == 2:
         arg0, arg1 = arg_fs
 
         def run_builtin2(rt, subject, scope):
-            return impl(
-                _plain(arg0(rt, subject, scope)),
-                _plain(arg1(rt, subject, scope)),
-            )
+            return impl(arg0(rt, subject, scope), arg1(rt, subject, scope))
 
         return run_builtin2
+    if impl is not None and len(arg_fs) == 3:
+        arg0, arg1, arg2 = arg_fs
+
+        def run_builtin3(rt, subject, scope):
+            return impl(
+                arg0(rt, subject, scope),
+                arg1(rt, subject, scope),
+                arg2(rt, subject, scope),
+            )
+
+        return run_builtin3
 
     def run_builtin(rt, subject, scope):
-        args = [_plain(arg(rt, subject, scope)) for arg in arg_fs]
+        args = [arg(rt, subject, scope) for arg in arg_fs]
         if impl is None:
             raise CloudError(INTERNAL_FAILURE, f"unknown builtin {name!r}")
         return impl(*args)
@@ -299,11 +411,14 @@ def _compile_func(expr: ast.Func, info: _SpecInfo):
 
 def _compile_pred(pred: ast.Pred, info: _SpecInfo):
     if isinstance(pred, ast.Truthy):
-        expr_f = _compile_expr(pred.expr, info)
+        expr = pred.expr
+        if isinstance(expr, ast.Func) and expr.name in _BOOL_BUILTINS:
+            return _compile_func(expr, info)
+        # A Handle is truthy and so is its (never empty) id.
+        expr_f = _compile_plain(expr, info)
 
         def run_truthy(rt, subject, scope):
-            value = expr_f(rt, subject, scope)
-            return True if isinstance(value, Handle) else bool(value)
+            return bool(expr_f(rt, subject, scope))
 
         return run_truthy
 
@@ -334,49 +449,27 @@ def _compile_pred(pred: ast.Pred, info: _SpecInfo):
         return run_or
 
     if isinstance(pred, ast.Compare):
-        left_f = _compile_expr(pred.left, info)
-        right_f = _compile_expr(pred.right, info)
+        left_f = _compile_plain(pred.left, info)
+        right_f = _compile_plain(pred.right, info)
         op = pred.op
-        if op == "==":
+        if op in ("==", "!=") and isinstance(pred.right, ast.Literal):
             # Comparisons against a literal (status == ACTIVE) fold the
             # constant side at compile time.
-            if isinstance(pred.right, ast.Literal):
-                const = _plain(pred.right.value)
-
+            const = _plain(pred.right.value)
+            if op == "==":
                 def run_eq_const(rt, subject, scope):
-                    return _plain(left_f(rt, subject, scope)) == const
+                    return left_f(rt, subject, scope) == const
 
                 return run_eq_const
 
-            def run_eq(rt, subject, scope):
-                return (
-                    _plain(left_f(rt, subject, scope))
-                    == _plain(right_f(rt, subject, scope))
-                )
+            def run_ne_const(rt, subject, scope):
+                return left_f(rt, subject, scope) != const
 
-            return run_eq
-        if op == "!=":
-            if isinstance(pred.right, ast.Literal):
-                const = _plain(pred.right.value)
-
-                def run_ne_const(rt, subject, scope):
-                    return _plain(left_f(rt, subject, scope)) != const
-
-                return run_ne_const
-
-            def run_ne(rt, subject, scope):
-                return (
-                    _plain(left_f(rt, subject, scope))
-                    != _plain(right_f(rt, subject, scope))
-                )
-
-            return run_ne
+            return run_ne_const
 
         def run_cmp(rt, subject, scope):
             return _compare(
-                op,
-                _plain(left_f(rt, subject, scope)),
-                _plain(right_f(rt, subject, scope)),
+                op, left_f(rt, subject, scope), right_f(rt, subject, scope)
             )
 
         return run_cmp
@@ -469,8 +562,8 @@ def _compile_read(stmt: ast.Read, info: _SpecInfo):
 
     if name not in info.sm_states:
         # Committed state only ever holds plain values (defaults are
-        # literals; every write stores through ``_plain``), so a read
-        # of a non-SM state needs no wrapping and no re-plaining.
+        # literals; every write stores a plain value), so a read of a
+        # non-SM state needs no wrapping and no re-plaining.
         def run_read_plain(rt, subject, scope, payload, depth):
             value = rt.txn.get_state(subject.instance_id, name)
             scope[var] = value
@@ -495,36 +588,35 @@ def _compile_read(stmt: ast.Read, info: _SpecInfo):
 
 def _compile_write(stmt: ast.Write, info: _SpecInfo):
     name = stmt.state
-    value_f = _compile_expr(stmt.value, info)
+    value_f = _compile_plain(stmt.value, info)
 
     def run_write(rt, subject, scope, payload, depth):
-        value = value_f(rt, subject, scope)
-        rt.txn.set_state(subject.instance_id, name, _plain(value))
+        rt.txn.set_state(subject.instance_id, name, value_f(rt, subject, scope))
 
     return run_write
 
 
 def _compile_emit(stmt: ast.Emit, info: _SpecInfo):
     key = stmt.key
-    value_f = _compile_expr(stmt.value, info)
+    value_f = _compile_plain(stmt.value, info)
 
     def run_emit(rt, subject, scope, payload, depth):
         value = value_f(rt, subject, scope)
         if depth == 0:
-            payload[key] = _plain(value)
+            payload[key] = value
 
     return run_emit
 
 
 def _compile_assert(stmt: ast.Assert, info: _SpecInfo):
-    pred_f = _compile_pred(stmt.pred, info)
+    # ``assert not p`` tests ``p`` itself: one closure call fewer.
+    negated = isinstance(stmt.pred, ast.Not)
+    pred_f = _compile_pred(stmt.pred.pred if negated else stmt.pred, info)
     code = stmt.error_code
     template = stmt.message
     interpolates = bool(template) and "{" in template
 
-    def run_assert(rt, subject, scope, payload, depth):
-        if pred_f(rt, subject, scope):
-            return
+    def fail(subject, scope):
         message = template
         if interpolates:
             try:
@@ -532,6 +624,17 @@ def _compile_assert(stmt: ast.Assert, info: _SpecInfo):
             except Exception:
                 message = template
         raise CloudError(code, message)
+
+    if negated:
+        def run_assert_not(rt, subject, scope, payload, depth):
+            if pred_f(rt, subject, scope):
+                fail(subject, scope)
+
+        return run_assert_not
+
+    def run_assert(rt, subject, scope, payload, depth):
+        if not pred_f(rt, subject, scope):
+            fail(subject, scope)
 
     return run_assert
 
@@ -549,6 +652,43 @@ def _compile_if(stmt: ast.If, info: _SpecInfo):
     return run_if
 
 
+class _CallBinding:
+    """One call site's binding to one callee transition, made once.
+
+    Holds what every call through the site needs about the callee:
+    the transition, its compiled form (or ``None``: evaluator) and its
+    parameter names.  :meth:`current` says whether the binding still
+    matches the callee spec and the runtime's compiled module; a
+    replaced or re-bodied transition re-binds.
+    """
+
+    __slots__ = ("spec", "transition", "params", "module", "compiled",
+                 "names")
+
+    def __init__(self, spec: ast.SMSpec, transition: ast.Transition,
+                 module: "CompiledModule"):
+        self.spec = spec
+        self.transition = transition
+        self.params = transition.params
+        self.module = module
+        compiled = module.lookup(spec.name, transition.name)
+        self.compiled = (
+            compiled if compiled is not None and compiled.fresh(transition)
+            else None
+        )
+        self.names = tuple(param.name for param in transition.params)
+
+    def current(self, spec: ast.SMSpec, transition, module) -> bool:
+        compiled = self.compiled
+        return (
+            spec is self.spec
+            and transition is self.transition
+            and module is self.module
+            and transition.params is self.params
+            and (compiled is None or compiled.fresh(transition))
+        )
+
+
 def _compile_call(stmt: ast.Call, info: _SpecInfo):
     arg_fs = tuple(_compile_expr(arg, info) for arg in stmt.args)
     transition_name = stmt.transition
@@ -564,54 +704,71 @@ def _compile_call(stmt: ast.Call, info: _SpecInfo):
         and target_ident != "id"
         and target_ident not in info.state_names
     )
-    target_f = _compile_expr(stmt.target, info)
+    # The target only has to name an instance: read it raw (no
+    # wrapping lookup) and resolve it once below.
+    target_f = _compile_expr(stmt.target, info, raw=True)
     rendered_target = stmt.target.render()
+    binding = None
 
     def run_call(rt, subject, scope, payload, depth):
+        nonlocal binding
         args = [arg(rt, subject, scope) for arg in arg_fs]
+        txn = rt.txn
         if (
             may_instantiate
             and target_ident not in scope
             and target_ident in rt.specs
         ):
             target = _instantiate(rt, target_ident, subject)
+            target_id = target.instance_id
+            callee_spec = rt.specs[target_ident]
         else:
             value = target_f(rt, subject, scope)
-            if not isinstance(value, Handle):
-                if isinstance(value, str):
-                    if rt.txn.instance(value) is None:
-                        raise CloudError(
-                            INTERNAL_FAILURE,
-                            f"call target {value!r} not found",
-                        )
-                    value = Handle(rt.txn, value)
-                else:
+            if isinstance(value, Handle):
+                target_id = value.instance_id
+                instance = txn.instance(target_id)
+                if instance is None:
                     raise CloudError(
-                        INTERNAL_FAILURE,
-                        f"call target {rendered_target} is not an SM"
-                        " reference",
+                        INTERNAL_FAILURE, f"dangling handle {target_id}"
                     )
-            target = value
-        callee_spec = target.spec
+                target = value
+            elif isinstance(value, str):
+                instance = txn.instance(value)
+                if instance is None:
+                    raise CloudError(
+                        INTERNAL_FAILURE, f"call target {value!r} not found"
+                    )
+                target_id = value
+                target = Handle(txn, value)
+            else:
+                raise CloudError(
+                    INTERNAL_FAILURE,
+                    f"call target {rendered_target} is not an SM reference",
+                )
+            callee_spec = instance.spec
         callee = callee_spec.transitions.get(transition_name)
         if callee is None:
             raise CloudError(
                 INTERNAL_FAILURE,
                 f"no transition {transition_name} on SM {callee_spec.name}",
             )
-        bound = {
-            param.name: args[index] if index < len(args) else None
-            for index, param in enumerate(callee.params)
-        }
-        compiled = rt.compiled.lookup(callee_spec.name, transition_name)
-        if compiled is not None and compiled.fresh(callee):
-            compiled.run(rt, target, bound, depth=depth + 1)
+        bound = binding
+        if bound is None or not bound.current(callee_spec, callee, rt.compiled):
+            bound = binding = _CallBinding(callee_spec, callee, rt.compiled)
+        names = bound.names
+        if len(args) >= len(names):
+            scope_args = dict(zip(names, args))
+        else:
+            scope_args = dict.fromkeys(names)
+            scope_args.update(zip(names, args))
+        if bound.compiled is not None:
+            bound.compiled.run(rt, target, scope_args, depth + 1)
         else:
             rt.evaluator().run_transition(
-                target, callee, bound, depth=depth + 1
+                target, callee, scope_args, depth=depth + 1
             )
         if callee.category == "destroy":
-            rt.txn.mark_deleted(target.instance_id)
+            txn.mark_deleted(target_id)
 
     return run_call
 
@@ -697,7 +854,8 @@ class CompiledTransition:
     """One transition body lowered to a flat tuple of step closures."""
 
     __slots__ = (
-        "name", "category", "pure", "_steps", "_source", "_body", "_stub",
+        "name", "category", "pure", "_steps", "_source", "_body",
+        "_params", "_stub",
     )
 
     def __init__(self, transition: ast.Transition, steps):
@@ -706,6 +864,7 @@ class CompiledTransition:
         self._steps = tuple(steps)
         self._source = transition
         self._body = transition.body
+        self._params = transition.params
         self._stub = transition.is_stub
         #: Statically effect-free: running this transition cannot touch
         #: registry or overlay state, so the dispatcher may skip the
@@ -722,6 +881,7 @@ class CompiledTransition:
         return (
             transition is self._source
             and transition.body is self._body
+            and transition.params is self._params
             and transition.is_stub == self._stub
         )
 
@@ -813,11 +973,12 @@ def compile_module(module: ast.SpecModule) -> CompiledModule:
     specs: dict[str, CompiledSpec] = {}
     skipped: list[str] = []
     for sm_name, spec in module.machines.items():
-        info = _SpecInfo(spec)
         transitions: dict[str, CompiledTransition] = {}
         for t_name, transition in spec.transitions.items():
             try:
-                steps = _compile_block(transition.body, info)
+                steps = _compile_block(
+                    transition.body, _SpecInfo(spec, transition)
+                )
             except NotImplementedError:
                 skipped.append(f"{sm_name}.{t_name}")
                 continue

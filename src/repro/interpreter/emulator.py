@@ -50,6 +50,37 @@ def normalize_key(key: str) -> str:
     return key.replace("_", "").replace("-", "").lower()
 
 
+#: Upper bound on :func:`normalize_params`' cache of key shapes.
+KEY_SHAPE_CACHE_SIZE = 4096
+
+#: Longest key shape (total characters over its keys) the cache keeps;
+#: longer shapes are normalized per request, so a client cannot park
+#: large keys in process memory.
+KEY_SHAPE_CACHED_LENGTH = 256
+
+#: A request's keys, in order -> their normalized names.
+_KEY_SHAPES: dict[tuple, tuple[str, ...]] = {}
+
+
+def normalize_params(params: dict) -> dict:
+    """``params`` keyed by normalized names (:func:`normalize_key`).
+
+    When two keys normalize alike, the later one wins.  Requests of
+    one API arrive with the same few key shapes, so the names are
+    computed once per shape (bounded cache) and both the serve path's
+    validator and the emulator's binder reuse them.
+    """
+    shape = tuple(params)
+    names = _KEY_SHAPES.get(shape)
+    if names is None:
+        names = tuple(map(normalize_key, shape))
+        if sum(map(len, shape)) <= KEY_SHAPE_CACHED_LENGTH:
+            if len(_KEY_SHAPES) >= KEY_SHAPE_CACHE_SIZE:
+                _KEY_SHAPES.clear()
+            _KEY_SHAPES[shape] = names
+    return dict(zip(names, params.values()))
+
+
 class _DispatchEntry:
     """Everything ``invoke`` needs about one API, resolved once.
 
@@ -62,17 +93,24 @@ class _DispatchEntry:
     __slots__ = (
         "api", "sm_name", "spec", "transition", "bare_describe",
         "is_create", "is_destroy", "param_plan", "id_key", "id_params",
-        "self_params", "notfound", "compiled", "pure_compiled",
+        "self_params", "notfound", "compiled", "pure_compiled", "parent",
+        "defaults", "id_field",
     )
 
     def __init__(self, api: str, sm_name: str, spec: ast.SMSpec,
-                 transition: ast.Transition, notfound: str, compiled):
+                 transition: ast.Transition, notfound: str, compiled,
+                 defaults):
         self.api = api
         self.sm_name = sm_name
         self.spec = spec
         self.transition = transition
         self.notfound = notfound
         self.compiled = compiled
+        #: A create's parent: the first SM-typed parameter naming an
+        #: instance of this parent type.
+        self.parent = spec.parent if transition.category == "create" else ""
+        #: Zero-argument callable building a fresh instance's state.
+        self.defaults = defaults
         self.bare_describe = (
             transition.category == "describe" and not transition.params
         )
@@ -100,6 +138,8 @@ class _DispatchEntry:
             )
             for param in transition.params
         )
+        #: The response key a create reports its new id under.
+        self.id_field = f"{sm_name}_id"
         self.id_key = normalize_key(f"{spec.name}_id")
         self.id_params = tuple(
             param.name for param in transition.params
@@ -163,13 +203,15 @@ class Emulator:
         for api, (sm_name, transition) in self._index.items():
             if api.startswith("_"):
                 continue  # helper transitions are not externally callable
+            spec = module.machines[sm_name]
             self._dispatch[api] = _DispatchEntry(
-                api, sm_name, module.machines[sm_name], transition,
-                self._notfound(sm_name),
+                api, sm_name, spec, transition, self._notfound(sm_name),
                 self._compiled.lookup(sm_name, api)
                 if self._compiled is not None else None,
+                self._defaults(sm_name, spec),
             )
         self._roview = ReadOnlyView(self.registry)
+        self._version_rt: Runtime | None = None
         self._ro_rt = (
             Runtime(
                 self._roview, self.registry, module.machines, self._compiled
@@ -317,19 +359,25 @@ class Emulator:
     def _version_runtime(self, version):
         """The (view, runtime) pair for pure dispatch at a version.
 
-        Cached on the version object itself: a version is immutable
-        and belongs to exactly one registry, so the cache can never go
-        stale.  Two readers racing to build it is benign — both
-        results are equivalent and the attribute stores are atomic.
+        The emulator keeps the pair of the version it last read, so
+        consecutive reads of one version share it.  The cache lives on
+        the emulator, not on the version: a version that referenced
+        its own view would form a cycle, and every superseded version
+        (and the replaced instances only it holds) would then wait for
+        the cycle collector instead of being freed when released.  Two
+        readers racing to build it is benign — both results are
+        equivalent and the attribute store is atomic.
         """
-        rt = version._rt
-        if rt is None or rt.compiled is not self._compiled:
-            view = ReadOnlyView(version)
-            rt = Runtime(view, version, self.module.machines,
-                         self._compiled)
-            version._view = view
-            version._rt = rt
-        return version._view, version._rt
+        rt = self._version_rt
+        if (
+            rt is None
+            or rt.registry is not version
+            or rt.compiled is not self._compiled
+        ):
+            rt = Runtime(ReadOnlyView(version), version,
+                         self.module.machines, self._compiled)
+            self._version_rt = rt
+        return rt.txn, rt
 
     def invoke_at(self, version, api: str,
                   params: dict | None = None) -> ApiResponse:
@@ -534,11 +582,13 @@ class Emulator:
                 payload = evaluator.run_transition(
                     subject, entry.transition, args
                 )
+            # Only a create's subject is new: any other subject was
+            # resolved from the registry before the body ran.
             if entry.is_destroy:
-                txn.mark_deleted(subject.id)
-            if entry.is_create or txn.is_created_here(subject.id):
-                payload.setdefault("id", subject.id)
-                payload.setdefault(f"{entry.sm_name}_id", subject.id)
+                txn.mark_deleted(subject.instance_id)
+            elif entry.is_create:
+                payload.setdefault("id", subject.instance_id)
+                payload.setdefault(entry.id_field, subject.instance_id)
         except CloudError as error:
             return error.to_response()
         except TransientServiceError as error:
@@ -562,12 +612,13 @@ class Emulator:
     def _notfound(self, sm_name: str) -> str:
         return self.notfound_codes.get(sm_name, default_notfound_code(sm_name))
 
-    def _defaults(self, entry: _DispatchEntry) -> dict[str, object]:
+    def _defaults(self, sm_name: str, spec: ast.SMSpec):
+        """The fresh-state factory for ``spec``'s instances."""
         if self._compiled is not None:
-            compiled_spec = self._compiled.specs.get(entry.sm_name)
-            if compiled_spec is not None and compiled_spec.spec is entry.spec:
-                return compiled_spec.defaults()
-        return evaluate_defaults(entry.spec)
+            compiled_spec = self._compiled.specs.get(sm_name)
+            if compiled_spec is not None and compiled_spec.spec is spec:
+                return compiled_spec.defaults
+        return lambda: evaluate_defaults(spec)
 
     def _bind(
         self,
@@ -576,12 +627,35 @@ class Emulator:
         txn: Transaction | ReadOnlyView,
     ) -> tuple[Handle, dict[str, object]]:
         """Resolve the subject instance and bind request parameters."""
-        request = {normalize_key(key): value for key, value in params.items()}
+        request = normalize_params(params)
         args: dict[str, object] = {}
+        parent = entry.parent
+        parent_id = ""
         for name, norm, is_sm, sm_ref in entry.param_plan:
             value = request.get(norm)
             if value is not None and is_sm:
-                value = self._resolve_reference(sm_ref, value, txn)
+                # Each referenced instance is looked up once: its type
+                # check and the parent search share the lookup.
+                if value.__class__ is str:
+                    instance = txn.instance(value)
+                    if instance is None or (
+                        sm_ref and instance.spec.name != sm_ref
+                    ):
+                        raise CloudError(
+                            self._notfound(sm_ref or "resource"),
+                            f"The ID '{value}' does not exist",
+                        )
+                    if parent and not parent_id and (
+                        instance.spec.name == parent
+                    ):
+                        parent_id = value
+                    value = Handle(txn, value)
+                else:
+                    value = self._resolve_reference(sm_ref, value, txn)
+                    if parent and not parent_id and (
+                        value.spec.name == parent
+                    ):
+                        parent_id = value.instance_id
             # Scalar parameters are deliberately not type-checked here:
             # cloud APIs validate *semantics* (via the documented
             # checks), and a framework-level type error would diverge
@@ -589,9 +663,8 @@ class Emulator:
             args[name] = value
 
         if entry.is_create:
-            parent_id = self._find_parent(entry.spec, args)
             instance = self.registry.create(
-                entry.spec, self._defaults(entry), parent_id=parent_id
+                entry.spec, entry.defaults(), parent_id=parent_id
             )
             txn.create(instance)
             return Handle(txn, instance.id), args
@@ -627,14 +700,6 @@ class Emulator:
                 f"The ID '{value}' does not exist",
             )
         return Handle(txn, instance.id)
-
-    def _find_parent(self, spec: ast.SMSpec, args: dict[str, object]) -> str:
-        if not spec.parent:
-            return ""
-        for value in args.values():
-            if isinstance(value, Handle) and value.spec.name == spec.parent:
-                return value.id
-        return ""
 
     def _subject_id(
         self,

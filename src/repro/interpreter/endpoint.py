@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 
 from .errors import ApiResponse
 
-
 class ProtocolError(Exception):
     """The request envelope itself is malformed."""
 
@@ -85,7 +84,7 @@ class JsonEndpoint:
     # -- dict envelope -----------------------------------------------------
 
     @staticmethod
-    def _parse(request: dict) -> tuple[str, dict]:
+    def parse(request: dict) -> tuple[str, dict]:
         """``(action, parameters)`` of one envelope, or
         :class:`ProtocolError` when it is malformed."""
         if not isinstance(request, dict):
@@ -100,9 +99,16 @@ class JsonEndpoint:
             raise ProtocolError("'Parameters' must be a JSON object")
         return action, parameters
 
-    def dispatch(self, request: dict) -> dict:
-        """Handle one decoded request envelope."""
-        action, parameters = self._parse(request)
+    def dispatch(self, request: dict,
+                 parsed: tuple[str, dict] | None = None) -> dict:
+        """Handle one decoded request envelope.
+
+        ``parsed`` is the envelope's :meth:`parse` result when the
+        caller already has it, so the envelope is parsed once.
+        """
+        action, parameters = (
+            self.parse(request) if parsed is None else parsed
+        )
         telemetry = self.telemetry
         if telemetry is None or getattr(telemetry, "obs", None) is not None:
             # Under the serving observability plane the front door has
@@ -142,13 +148,10 @@ class JsonEndpoint:
 
     # -- text envelope -----------------------------------------------------------
 
-    def decode(self, payload: "str | bytes") -> dict:
-        """One wire payload as an envelope :meth:`dispatch` accepts.
-
-        Undecodable bytes, unparsable JSON, a non-object top level and
-        a missing or mistyped ``Action`` or ``Parameters`` all raise
-        :class:`ProtocolError`.
-        """
+    @staticmethod
+    def load(payload: "str | bytes") -> object:
+        """The JSON value of one wire payload; undecodable bytes and
+        unparsable JSON raise :class:`ProtocolError`."""
         if isinstance(payload, (bytes, bytearray)):
             try:
                 payload = bytes(payload).decode("utf-8")
@@ -157,24 +160,25 @@ class JsonEndpoint:
                     "request body is not valid UTF-8"
                 ) from None
         try:
-            request = json.loads(payload)
+            return json.loads(payload)
         except (json.JSONDecodeError, ValueError) as error:
             message = getattr(error, "msg", str(error))
             raise ProtocolError(
                 f"could not parse request: {message}"
             ) from None
-        self._parse(request)
-        return request
 
     def handle(self, payload: "str | bytes") -> str:
         """Handle one JSON-encoded request; always returns valid JSON.
 
-        Envelope problems (see :meth:`decode`) come back as a
+        Undecodable bytes, unparsable JSON, a non-object top level and
+        a missing or mistyped ``Action`` or ``Parameters`` (see
+        :meth:`load` and :meth:`parse`) come back as a
         400-style ``SerializationException`` rather than an exception:
         wire front doors don't crash on bad input.
         """
         try:
-            body = self.dispatch(self.decode(payload))
+            request = self.load(payload)
+            body = self.dispatch(request, self.parse(request))
         except ProtocolError as error:
             body = self.serialization_error(str(error))
         return json.dumps(body)

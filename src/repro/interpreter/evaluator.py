@@ -40,7 +40,9 @@ def _plain(value: object) -> object:
     if isinstance(value, Handle):
         return value.instance_id
     if isinstance(value, list):
-        return [_plain(item) for item in value]
+        return [
+            item if item.__class__ is str else _plain(item) for item in value
+        ]
     return value
 
 

@@ -16,7 +16,7 @@ from ..spec import ast
 from .errors import CloudError, INTERNAL_FAILURE
 
 
-@dataclass
+@dataclass(slots=True)
 class MachineInstance:
     """One live resource: identity, spec, and committed state."""
 
@@ -43,32 +43,45 @@ class Transaction:
     never reach :meth:`commit`.
     """
 
+    __slots__ = ("registry", "_writes", "_created", "_deleted", "_seen")
+
     def __init__(self, registry: "Registry | RegistryVersion"):
         self.registry = registry
         self._writes: dict[str, dict[str, object]] = {}
         self._created: dict[str, MachineInstance] = {}
         self._deleted: set[str] = set()
+        #: Every instance this transaction has resolved or created, so
+        #: each is looked up in the registry once (the registry cannot
+        #: change under a transaction: writers are serialized).
+        self._seen: dict[str, MachineInstance] = {}
 
     # -- instance access -----------------------------------------------------
 
     def instance(self, instance_id: str) -> MachineInstance | None:
         if instance_id in self._deleted:
             return None
-        if instance_id in self._created:
-            return self._created[instance_id]
-        instances = self.registry.instances
-        delta = instances.delta
-        return (delta if instance_id in delta else instances.base).get(
-            instance_id
-        )
+        found = self._seen.get(instance_id)
+        if found is None:
+            instances = self.registry.instances
+            delta = instances.delta
+            found = (delta if instance_id in delta else instances.base).get(
+                instance_id
+            )
+            if found is not None:
+                self._seen[instance_id] = found
+        return found
 
     def get_state(self, instance_id: str, name: str) -> object:
         pending = self._writes.get(instance_id)
         if pending is not None and name in pending:
             return pending[name]
-        instance = self.instance(instance_id)
-        if instance is None:
-            raise CloudError(INTERNAL_FAILURE, f"dangling reference {instance_id}")
+        instance = self._seen.get(instance_id)
+        if instance is None or instance_id in self._deleted:
+            instance = self.instance(instance_id)
+            if instance is None:
+                raise CloudError(
+                    INTERNAL_FAILURE, f"dangling reference {instance_id}"
+                )
         return instance.state.get(name)
 
     def state_of(self, instance_id: str) -> dict[str, object]:
@@ -88,18 +101,21 @@ class Transaction:
         return instance.state
 
     def set_state(self, instance_id: str, name: str, value: object) -> None:
-        if self.instance(instance_id) is None:
+        if instance_id in self._deleted or (
+            instance_id not in self._seen and self.instance(instance_id) is None
+        ):
             raise CloudError(INTERNAL_FAILURE, f"dangling reference {instance_id}")
-        self._writes.setdefault(instance_id, {})[name] = value
+        pending = self._writes.get(instance_id)
+        if pending is None:
+            pending = self._writes[instance_id] = {}
+        pending[name] = value
 
     def create(self, instance: MachineInstance) -> None:
         self._created[instance.id] = instance
+        self._seen[instance.id] = instance
 
     def mark_deleted(self, instance_id: str) -> None:
         self._deleted.add(instance_id)
-
-    def is_created_here(self, instance_id: str) -> bool:
-        return instance_id in self._created
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -119,30 +135,31 @@ class Transaction:
         """
         registry = self.registry
         instances = registry.instances
-        for instance in self._created.values():
+        created = self._created
+        deleted = self._deleted
+        for instance in created.values():
             instances.set(instance.id, instance)
         for instance_id, writes in self._writes.items():
-            if instance_id in self._deleted:
+            if instance_id in deleted:
                 continue
-            if instance_id in self._created:
+            fresh = created.get(instance_id)
+            if fresh is not None:
                 # Created in this same transaction: the object is
                 # fresh, no published version can reference it yet.
-                self._created[instance_id].state.update(writes)
+                fresh.state.update(writes)
                 continue
             target = instances.get(instance_id)
             if target is not None:
                 # A replacement keeps the id's slot in iteration
                 # (creation) order, which snapshots and dependency
                 # scans rely on.
-                instances.set(instance_id, MachineInstance(
-                    id=target.id,
-                    spec=target.spec,
-                    state={**target.state, **writes},
-                    parent_id=target.parent_id,
+                instances.replace(instance_id, MachineInstance(
+                    target.id, target.spec, {**target.state, **writes},
+                    target.parent_id,
                 ))
-        for instance_id in self._deleted:
+        for instance_id in deleted:
             instances.discard(instance_id)
-        if self._created or self._writes or self._deleted:
+        if created or self._writes or deleted:
             registry.mutations += 1
 
 
@@ -193,9 +210,6 @@ class ReadOnlyView:
         if instance is None:
             raise CloudError(INTERNAL_FAILURE, f"dangling reference {instance_id}")
         return instance.state
-
-    def is_created_here(self, instance_id: str) -> bool:
-        return False
 
 
 class Handle:
@@ -315,6 +329,10 @@ class InstanceMap:
             self._len += 1
         self._put(instance_id, instance)
 
+    def replace(self, instance_id: str, instance: MachineInstance) -> None:
+        """Replace one instance that is present."""
+        self._put(instance_id, instance)
+
     def discard(self, instance_id: str) -> None:
         """Delete one instance if it is present."""
         if self.get(instance_id) is None:
@@ -385,14 +403,13 @@ class RegistryVersion(_RegistryReads):
 
     ``wal_seq`` is stamped by the owning emulator at publish time so a
     snapshot dumped from a pinned version carries the correct recovery
-    cursor.  ``_view``/``_rt`` cache the read-only dispatch plumbing
-    for the compiled pure route (built lazily by the first reader; the
-    benign publish race just builds it twice).
+    cursor.  A version references nothing that references it back, so
+    it is freed (with the instances only it still holds) the moment
+    its last reader lets go, without waiting for the cycle collector.
     """
 
     __slots__ = (
         "version", "instances", "counters", "placements", "wal_seq",
-        "_view", "_rt",
     )
 
     def __init__(self, version: int, instances: InstanceMap,
@@ -402,8 +419,6 @@ class RegistryVersion(_RegistryReads):
         self.counters = counters
         self.placements = placements
         self.wal_seq = 0
-        self._view = None
-        self._rt = None
 
     # -- mutation surface: refused loudly ------------------------------------
 
@@ -471,9 +486,21 @@ class Registry(_RegistryReads):
         if published is not None and self._published_tick == self.mutations:
             return published
         self.version += 1
+        # Counters change only on creates and placements only when the
+        # front door places a resource, so most versions share both
+        # maps with their predecessor instead of copying them.
+        counters = self._counters
+        placements = self.placements
+        if published is not None:
+            if counters == published.counters:
+                counters = published.counters
+            if placements == published.placements:
+                placements = published.placements
         published = RegistryVersion(
-            self.version, self.instances.freeze(), self._counters.copy(),
-            self.placements.copy(),
+            self.version, self.instances.freeze(),
+            counters.copy() if counters is self._counters else counters,
+            placements.copy() if placements is self.placements
+            else placements,
         )
         self._published = published
         self._published_tick = self.mutations
@@ -491,13 +518,14 @@ class Registry(_RegistryReads):
     def create(
         self, spec: ast.SMSpec, defaults: dict[str, object], parent_id: str = ""
     ) -> MachineInstance:
-        instance = MachineInstance(
+        """A new instance of ``spec`` with a fresh id.  The instance
+        takes ``defaults`` as its state dict: pass a fresh one."""
+        return MachineInstance(
             id=self.new_id(spec.name),
             spec=spec,
-            state=dict(defaults),
+            state=defaults,
             parent_id=parent_id,
         )
-        return instance
 
     def place(self, instance_id: str, region: str) -> None:
         """Record (or move) a resource's home region."""

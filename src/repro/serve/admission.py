@@ -67,12 +67,17 @@ def _shed(code: str, message: str, retry_after: float,
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class AdmissionDecision:
     """What the controller decided for one request."""
 
     admitted: bool
     response: ApiResponse | None = None  # the shed answer, if any
+
+
+#: The decision of every admitted request (decisions are immutable,
+#: so admitting allocates nothing).
+ADMITTED = AdmissionDecision(True)
 
 
 class TenantMeter:
@@ -166,6 +171,9 @@ class AdmissionController:
     # -- tenant meters -------------------------------------------------------
 
     def meter(self, tenant: str) -> TenantMeter:
+        meter = self._meters.get(tenant)
+        if meter is not None:
+            return meter
         with self._lock:
             meter = self._meters.get(tenant)
             if meter is None:
@@ -261,14 +269,17 @@ class AdmissionController:
 
         # Layer 3: the token bucket.
         if meter.bucket.try_take():
-            meter.note_token(self.recover_after)
+            # A healthy tenant with no shed streak has nothing to
+            # reset: skip the meter (and its lock) entirely.
+            if meter._consecutive_sheds:
+                meter.note_token(self.recover_after)
             return self._admitted(alloc)
         retry_after = meter.bucket.retry_after()
         if meter.note_shed(self.degrade_after):
             self._count(tenant, "serve.degraded_entries")
             if self.telemetry is not None:
                 self.telemetry.event("tenant_degraded", tenant=tenant)
-        if read_only and self.meter(tenant).degraded:
+        if read_only and meter.degraded:
             # The shed that tipped the tenant over still answers reads.
             self._count(tenant, "serve.degraded_reads")
             return self._admitted(alloc)
@@ -293,7 +304,7 @@ class AdmissionController:
     def _admitted(self, alloc) -> AdmissionDecision:
         if alloc is not None:
             self.allocator.note_admitted(alloc)
-        return AdmissionDecision(True)
+        return ADMITTED
 
     def _backout(self, alloc) -> None:
         """Undo the slot claims of a request shed after layer 1."""

@@ -138,7 +138,7 @@ class _GuardedBackend:
                 )
             else:
                 response = self.inner.invoke(api, params)
-            if read_only:
+            if read_only and front.telemetry is not None:
                 self._maybe_drift(api, params)
             return response
         finally:
@@ -306,6 +306,12 @@ class FrontDoor:
             tenant = self.router.resolve(api_key)
         except AuthError as error:
             return self._auth_envelope(error)
+        return self._dispatch(tenant, request)
+
+    def _dispatch(self, tenant: Tenant, request: dict,
+                  parsed: tuple[str, dict] | None = None) -> dict:
+        """:meth:`dispatch` for a resolved tenant; ``parsed`` is the
+        envelope's ``(action, parameters)`` when already parsed."""
         try:
             deadline, retry = (
                 envelope_meta(request, self.clock)
@@ -321,21 +327,23 @@ class FrontDoor:
                     "Message": str(error),
                 },
             }
-        obs = getattr(self.telemetry, "obs", None)
+        endpoint = tenant.endpoint
+        telemetry = self.telemetry
+        obs = None if telemetry is None else getattr(telemetry, "obs", None)
         if obs is None:
             if deadline is None and not retry:
-                return tenant.endpoint.dispatch(request)
+                return endpoint.dispatch(request, parsed)
             with request_meta(deadline, retry):
-                return tenant.endpoint.dispatch(request)
+                return endpoint.dispatch(request, parsed)
         api = ""
         if isinstance(request, dict):
             api = str(request.get("Action", ""))
         with obs.request(tenant.name, api) as ctx:
             if deadline is None and not retry:
-                body = tenant.endpoint.dispatch(request)
+                body = endpoint.dispatch(request, parsed)
             else:
                 with request_meta(deadline, retry):
-                    body = tenant.endpoint.dispatch(request)
+                    body = endpoint.dispatch(request, parsed)
             error_body = body.get("Error") if isinstance(body, dict) else None
             obs.classify(ctx, (error_body or {}).get("Code", ""))
         return body
@@ -344,20 +352,22 @@ class FrontDoor:
                api_key: str | None = None) -> str:
         """Handle one JSON-encoded request; always returns valid JSON.
 
-        The tenant's endpoint decodes the payload (bad UTF-8, bad JSON
-        and bad envelopes answer ``SerializationException``); the
-        request then takes exactly the :meth:`dispatch` path.
+        The tenant is resolved and the envelope parsed once: the
+        tenant's endpoint decodes the payload (bad UTF-8, bad JSON and
+        bad envelopes answer ``SerializationException``), and the
+        request then takes the rest of the :meth:`dispatch` path.
         """
         try:
             tenant = self.router.resolve(api_key)
         except AuthError as error:
             return json.dumps(self._auth_envelope(error))
+        endpoint = tenant.endpoint
         try:
-            request = tenant.endpoint.decode(payload)
+            request = endpoint.load(payload)
+            parsed = endpoint.parse(request)
         except ProtocolError as error:
-            body = tenant.endpoint.serialization_error(str(error))
-            return json.dumps(body)
-        return json.dumps(self.dispatch(request, api_key))
+            return json.dumps(endpoint.serialization_error(str(error)))
+        return json.dumps(self._dispatch(tenant, request, parsed))
 
     def invoke(self, api: str, params: dict | None = None,
                api_key: str | None = None,

@@ -29,7 +29,7 @@ Unknown actions are *not* handled here: the emulator's own
 
 from __future__ import annotations
 
-from ..interpreter.emulator import normalize_key
+from ..interpreter.emulator import normalize_key, normalize_params
 from ..interpreter.errors import ApiResponse, MISSING_PARAMETER
 from ..spec import ast
 from ..spec.types import StateType
@@ -43,35 +43,37 @@ def _describe(type_: StateType) -> str:
     return type_.render()
 
 
+def _is_str(value: object) -> bool:
+    return isinstance(value, str)
+
+
 class _ParamCheck:
     """One declared parameter's compiled validation plan."""
 
-    __slots__ = ("name", "norm", "type", "is_sm")
+    __slots__ = ("name", "norm", "type", "is_sm", "accepts")
 
     def __init__(self, param):
         self.name = param.name
         self.norm = normalize_key(param.name)
         self.type = param.type
         self.is_sm = param.type.kind == "sm"
+        #: Whether a non-null value is type-valid.  Over the wire an
+        #: SM reference is a resource identifier.
+        self.accepts = _is_str if self.is_sm else param.type.accepts
 
     def problem(self, value: object) -> str | None:
         """An error message if ``value`` is type-invalid, else None."""
-        if value is None:
+        if value is None or self.accepts(value):
             return None
         if self.is_sm:
-            # Over the wire an SM reference is a resource identifier.
-            if not isinstance(value, str):
-                return (
-                    f"Value ({value!r}) for parameter {self.name} is "
-                    f"invalid. Expected a resource identifier."
-                )
-            return None
-        if not self.type.accepts(value):
             return (
                 f"Value ({value!r}) for parameter {self.name} is "
-                f"invalid. Expected type {_describe(self.type)}."
+                f"invalid. Expected a resource identifier."
             )
-        return None
+        return (
+            f"Value ({value!r}) for parameter {self.name} is "
+            f"invalid. Expected type {_describe(self.type)}."
+        )
 
 
 class _ApiPlan:
@@ -125,25 +127,26 @@ class RequestValidator:
         plan = self._plans.get(api)
         if plan is None:
             return None  # unknown action: the emulator answers itself
-        request = {
-            normalize_key(key): value for key, value in params.items()
-        }
+        request = normalize_params(params)
+        checks = plan.checks
         for norm, value in request.items():
-            check = plan.checks.get(norm)
-            if check is None:
+            if value is None:
                 continue
-            message = check.problem(value)
-            if message is not None:
-                return self._reject(api, VALIDATION_ERROR, message)
-        if plan.subject_keys and not any(
-            request.get(key) is not None for key in plan.subject_keys
-        ):
-            return self._reject(
-                api, MISSING_PARAMETER,
-                "The request must contain the parameter "
-                f"{plan.subject_param}",
-            )
-        return None
+            check = checks.get(norm)
+            if check is not None and not check.accepts(value):
+                return self._reject(
+                    api, VALIDATION_ERROR, check.problem(value)
+                )
+        if not plan.subject_keys:
+            return None
+        for key in plan.subject_keys:
+            if request.get(key) is not None:
+                return None
+        return self._reject(
+            api, MISSING_PARAMETER,
+            "The request must contain the parameter "
+            f"{plan.subject_param}",
+        )
 
     def _reject(self, api: str, code: str, message: str) -> ApiResponse:
         if self.telemetry is not None:

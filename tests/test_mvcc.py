@@ -103,6 +103,44 @@ class TestRegistryVersions:
         # ...and the restored content matches it.
         assert _canonical(version_dump(after_restore)) == frozen
 
+    def test_state_lists_are_never_mutated_in_place(self, build):
+        """Lists are values: a write builds a new list (once, in the
+        builtin that makes it) and never touches the one an earlier
+        version holds."""
+        emulator = build.make_backend()
+        vpc = emulator.invoke(
+            "CreateVpc", {"CidrBlock": "10.0.0.0/16"}
+        ).data["id"]
+        sg = emulator.invoke("CreateSecurityGroup", {
+            "GroupName": "g", "Description": "d", "VpcId": vpc,
+        }).data["id"]
+        empty = emulator.publish_version()
+        subnet = emulator.invoke("CreateSubnet", {
+            "VpcId": vpc, "CidrBlock": "10.0.1.0/24",
+        }).data["id"]
+        assert emulator.invoke("AuthorizeSecurityGroupIngress", {
+            "SecurityGroupId": sg, "Cidr": "172.16.0.0/24",
+        }).success
+        appended = emulator.publish_version()
+        held = appended.get(vpc).state["subnet_cidrs"]
+        rules = appended.get(sg).state["ingress_rules"]
+        assert held == ["10.0.1.0/24"] and rules == ["172.16.0.0/24"]
+        assert held is not empty.get(vpc).state["subnet_cidrs"]
+        assert emulator.invoke("DeleteSubnet", {"SubnetId": subnet}).success
+        assert emulator.invoke("RevokeSecurityGroupIngress", {
+            "SecurityGroupId": sg, "Cidr": "172.16.0.0/24",
+        }).success
+        removed = emulator.publish_version()
+        assert removed.get(vpc).state["subnet_cidrs"] == []
+        assert removed.get(sg).state["ingress_rules"] == []
+        # The earlier versions still hold their own lists, unchanged.
+        assert appended.get(vpc).state["subnet_cidrs"] is held
+        assert held == ["10.0.1.0/24"]
+        assert appended.get(sg).state["ingress_rules"] is rules
+        assert rules == ["172.16.0.0/24"]
+        assert empty.get(vpc).state["subnet_cidrs"] == []
+        assert empty.get(sg).state["ingress_rules"] == []
+
 
 _SPEC = SimpleNamespace(name="vpc")
 

@@ -19,6 +19,7 @@ from repro.serve import (
     OVERLOADED,
     THROTTLED,
 )
+from repro.serve.admission import TenantMeter
 from repro.telemetry import Telemetry
 
 
@@ -195,6 +196,140 @@ class TestWireHandle:
         assert reply["ResponseMetadata"]["RequestId"]
         assert not [span for span in telemetry.tracer.walk()
                     if span.name == "serve.request"]
+
+
+class TestOncePerRequest:
+    """Each per-request job on the serve path happens once."""
+
+    def test_handle_resolves_the_tenant_once(self, build, monkeypatch):
+        front = make_front(build)
+        resolve = front.router.resolve
+        calls = []
+
+        def counting(api_key):
+            calls.append(api_key)
+            return resolve(api_key)
+
+        monkeypatch.setattr(front.router, "resolve", counting)
+        reply = json.loads(front.handle(json.dumps({
+            "Action": "CreateVpc",
+            "Parameters": {"CidrBlock": "10.0.0.0/16"},
+        }), api_key="t"))
+        assert "Error" not in reply
+        assert calls == ["t"]
+        front.dispatch({"Action": "DescribeVpcs",
+                        "Parameters": {"VpcId": reply["id"]}}, api_key="t")
+        assert calls == ["t", "t"]
+
+    def test_handle_parses_the_envelope_once(self, build, monkeypatch):
+        front = make_front(build)
+        endpoint = front.router.resolve("t").endpoint
+        parse = endpoint.parse
+        calls = []
+
+        def counting(request):
+            calls.append(request)
+            return parse(request)
+
+        monkeypatch.setattr(endpoint, "parse", counting)
+        front.handle(json.dumps({
+            "Action": "CreateVpc",
+            "Parameters": {"CidrBlock": "10.0.0.0/16"},
+        }), api_key="t")
+        assert len(calls) == 1
+
+    def test_long_key_shapes_are_not_kept(self):
+        from repro.interpreter import emulator
+
+        emulator._KEY_SHAPES.clear()
+        long_key = "K" * (emulator.KEY_SHAPE_CACHED_LENGTH + 1)
+        assert emulator.normalize_params({long_key: 1, "Vpc_Id": 2}) == {
+            "k" * len(long_key): 1, "vpcid": 2,
+        }
+        assert emulator._KEY_SHAPES == {}
+        assert emulator.normalize_params({"Vpc_Id": 2}) == {"vpcid": 2}
+        assert emulator._KEY_SHAPES == {("Vpc_Id",): ("vpcid",)}
+
+    @pytest.mark.parametrize("params, code", [
+        # The later of two keys that normalize alike wins, in the
+        # validator and in the binder alike.
+        (lambda vpc: {"VpcId": 5, "vpc_id": vpc}, None),
+        (lambda vpc: {"vpc_id": vpc, "VpcId": 5}, "ValidationError"),
+        (lambda vpc: {"VpcId": "vpc-99999999", "vpc_id": vpc}, None),
+        (lambda vpc: {"vpc_id": vpc, "VpcId": "vpc-99999999"},
+         "InvalidVpcID.NotFound"),
+    ])
+    def test_duplicate_normalized_keys_last_wins(self, build, params, code):
+        front = make_front(build)
+
+        def call(action, parameters):
+            return json.loads(front.handle(json.dumps({
+                "Action": action, "Parameters": parameters,
+            }), api_key="t"))
+
+        vpc = call("CreateVpc", {"CidrBlock": "10.0.0.0/16"})["id"]
+        reply = call("DescribeVpcs", params(vpc))
+        if code is None:
+            assert "Error" not in reply
+            assert reply["cidr_block"] == "10.0.0.0/16"
+        else:
+            assert reply["Error"]["Code"] == code
+        emulator = build.make_backend()
+        vpc = emulator.invoke(
+            "CreateVpc", {"CidrBlock": "10.0.0.0/16"}
+        ).data["id"]
+        direct = emulator.invoke("DescribeVpcs", params(vpc))
+        if code == "ValidationError":
+            # Unvalidated, the binder looks the id up and misses.
+            assert direct.error_code == "InvalidVpcID.NotFound"
+        else:
+            assert direct.success == (code is None)
+
+    def test_degraded_tenant_sheds_and_recovers_end_to_end(self, build):
+        clock = VirtualClock()
+        front = make_front(build, clock=clock, rate=5.0, burst=1.0)
+        front.admission.degrade_after = 3
+
+        def call(action, parameters):
+            return json.loads(front.handle(json.dumps({
+                "Action": action, "Parameters": parameters,
+            }), api_key="t"))
+
+        vpc = call("CreateVpc", {"CidrBlock": "10.0.0.0/16"})["id"]
+        codes = [
+            call("ModifyVpcAttribute", {
+                "VpcId": vpc, "EnableDnsHostnames": True,
+            }).get("Error", {}).get("Code")
+            for __ in range(4)
+        ]
+        assert codes == [THROTTLED, THROTTLED, THROTTLED, OVERLOADED]
+        assert front.admission.degraded("t")
+        # Degraded: reads ride free, writes shed flat.
+        assert "Error" not in call("DescribeVpcs", {"VpcId": vpc})
+        clock.sleep(1.0)  # the bucket refills: the next write recovers
+        assert "Error" not in call("ModifyVpcAttribute", {
+            "VpcId": vpc, "EnableDnsHostnames": True,
+        })
+        assert not front.admission.degraded("t")
+        clock.sleep(1.0)
+        assert call("DescribeVpcs", {"VpcId": vpc})[
+            "enable_dns_hostnames"
+        ] is True
+
+    def test_admitting_a_healthy_tenant_leaves_its_meter_alone(
+            self, monkeypatch):
+        controller = AdmissionController(rate=1e9, burst=1e9)
+
+        def untouched(*args, **kwargs):
+            raise AssertionError("meter bookkeeping on a healthy admit")
+
+        monkeypatch.setattr(TenantMeter, "note_token", untouched)
+        first = controller.admit("t", "CreateVpc", read_only=False)
+        second = controller.admit("t", "DescribeVpcs", read_only=True)
+        assert first.admitted and second.admitted
+        assert first is second  # one shared decision: nothing allocated
+        controller.release("t")
+        controller.release("t")
 
 
 class TestAdmission:
