@@ -287,15 +287,22 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         log_path = front.admitted.dump_jsonl(args.log) if args.log else None
         if args.shards:
             supervisor = front.supervisor
-            served = {
-                stats["shard"]: stats["requests"]
-                for stats in supervisor.shard_stats()
+            stats = {
+                entry["shard"]: entry for entry in supervisor.shard_stats()
             }
             shard_summary = {
                 "shards": supervisor.shards,
                 # Requests each shard's current generation served.
                 "requests": [
-                    served.get(index, 0)
+                    stats.get(index, {}).get("requests", 0)
+                    for index in range(supervisor.shards)
+                ],
+                # CPU placement: the CPU the door's threads share (null
+                # while nothing is placed), each worker the CPUs it may
+                # run on.
+                "parent_cpu": supervisor.parent_cpu,
+                "worker_cpus": [
+                    stats.get(index, {}).get("cpus", [])
                     for index in range(supervisor.shards)
                 ],
                 "restarts": supervisor.restarts,

@@ -26,11 +26,80 @@ import hashlib
 import json
 import threading
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import ApiResponse
 
+
 class ProtocolError(Exception):
     """The request envelope itself is malformed."""
+
+
+def build_envelope(response: ApiResponse, request_id: str) -> dict:
+    """The wire envelope of one response under ``request_id``."""
+    body: dict = {"ResponseMetadata": {"RequestId": request_id}}
+    if response.success:
+        body.update(response.data)
+    else:
+        body["Error"] = {
+            "Code": response.error_code,
+            "Message": response.error_message,
+        }
+        # Failure responses normally carry no data; the serving layer
+        # uses the slot for throttle metadata (Retry-After hints),
+        # which rides inside the error object the way the cloud's own
+        # throttle annotations do.
+        if response.data:
+            body["Error"].update(response.data)
+    return body
+
+
+#: How an envelope encoded with an empty request id begins
+#: (``json.dumps`` of :func:`build_envelope` under ``""``).
+_BLANK_ID = json.dumps(build_envelope(ApiResponse(True), ""))[:-1]
+
+
+class EncodedResponse(ApiResponse):
+    """A response whose envelope was encoded where it was made.
+
+    A shard worker runs :func:`build_envelope` with an empty request
+    id and ships the JSON text; the parent mints the id and splices it
+    in (:meth:`with_request_id`), so the text it returns is the one an
+    in-process endpoint would have encoded.  ``data`` is decoded from
+    the text only when something reads it.  A success whose data had
+    its own top-level ``ResponseMetadata`` key carries that value in
+    place of the request id, as in process: no id is spliced into it.
+    """
+
+    def __init__(self, text: str, success: bool, error_code: str = "",
+                 error_message: str = ""):
+        # ApiResponse is frozen; this sets its fields once, as its own
+        # generated __init__ does.
+        set_field = object.__setattr__
+        set_field(self, "text", text)
+        set_field(self, "success", success)
+        set_field(self, "error_code", error_code)
+        set_field(self, "error_message", error_message)
+
+    @cached_property
+    def data(self) -> dict:
+        body = json.loads(self.text)
+        if not self.success:
+            error = body["Error"]
+            error.pop("Code", None)
+            error.pop("Message", None)
+            return error
+        if self.text.startswith(_BLANK_ID):
+            del body["ResponseMetadata"]
+        return body
+
+    def with_request_id(self, request_id: str) -> str:
+        """The envelope text carrying ``request_id``."""
+        text = self.text
+        if not text.startswith(_BLANK_ID):
+            return text
+        cut = len(_BLANK_ID) - 2  # between the blank id's quotes
+        return text[:cut] + request_id + text[cut:]
 
 
 class RequestIdSequence:
@@ -109,42 +178,39 @@ class JsonEndpoint:
         action, parameters = (
             self.parse(request) if parsed is None else parsed
         )
+        return self.envelope(self.call(action, parameters))
+
+    def call(self, action: str, parameters: dict) -> ApiResponse:
+        """One parsed request's response from the backend."""
         telemetry = self.telemetry
         if telemetry is None or getattr(telemetry, "obs", None) is not None:
             # Under the serving observability plane the front door has
             # already opened this request's root span; a second
             # per-request span here would only double the span count
             # the tail sampler is bounding.
+            return self.backend.invoke(action, parameters)
+        with telemetry.span(
+            "endpoint.request", kind="endpoint", action=action
+        ) as span:
             response = self.backend.invoke(action, parameters)
-        else:
-            with telemetry.span(
-                "endpoint.request", kind="endpoint", action=action
-            ) as span:
-                response = self.backend.invoke(action, parameters)
-                telemetry.metrics.counter("endpoint.requests").inc()
-                if not response.success:
-                    span.set("error_code", response.error_code)
-                    telemetry.metrics.counter("endpoint.errors").inc()
-        return self._envelope(response)
+            telemetry.metrics.counter("endpoint.requests").inc()
+            if not response.success:
+                span.set("error_code", response.error_code)
+                telemetry.metrics.counter("endpoint.errors").inc()
+        return response
 
-    def _envelope(self, response: ApiResponse) -> dict:
-        body: dict = {
-            "ResponseMetadata": {"RequestId": self._request_id()},
-        }
-        if response.success:
-            body.update(response.data)
-        else:
-            body["Error"] = {
-                "Code": response.error_code,
-                "Message": response.error_message,
-            }
-            # Failure responses normally carry no data; the serving
-            # layer uses the slot for throttle metadata (Retry-After
-            # hints), which rides inside the error object the way the
-            # cloud's own throttle annotations do.
-            if response.data:
-                body["Error"].update(response.data)
-        return body
+    def envelope(self, response: ApiResponse) -> dict:
+        """The envelope of one response, under the next request id."""
+        if isinstance(response, EncodedResponse):
+            return json.loads(self.encode(response))
+        return build_envelope(response, self._request_id())
+
+    def encode(self, response: ApiResponse) -> str:
+        """The envelope text of one response, under the next request
+        id: the one text encoder every ``handle`` answers through."""
+        if isinstance(response, EncodedResponse):
+            return response.with_request_id(self._request_id())
+        return json.dumps(build_envelope(response, self._request_id()))
 
     # -- text envelope -----------------------------------------------------------
 
@@ -177,11 +243,10 @@ class JsonEndpoint:
         wire front doors don't crash on bad input.
         """
         try:
-            request = self.load(payload)
-            body = self.dispatch(request, self.parse(request))
+            action, parameters = self.parse(self.load(payload))
         except ProtocolError as error:
-            body = self.serialization_error(str(error))
-        return json.dumps(body)
+            return json.dumps(self.serialization_error(str(error)))
+        return self.encode(self.call(action, parameters))
 
     def serialization_error(self, message: str) -> dict:
         """The ``SerializationException`` envelope for a bad request."""

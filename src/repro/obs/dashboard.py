@@ -106,14 +106,45 @@ def _breaker_rows(plane: ObsPlane, now: float) -> list[str]:
     return rows
 
 
+def _latest_cpus(stream, now: float) -> str:
+    """The CPU set a stream of CPU masks recorded last up to ``now``,
+    as ``0,1``; empty when it recorded none."""
+    for window in reversed(stream.windows(0.0, now)):
+        if window.values:
+            mask = int(window.values[-1])
+            return ",".join(
+                str(cpu) for cpu in range(mask.bit_length())
+                if mask >> cpu & 1
+            )
+    return ""
+
+
 def _shard_rows(plane: ObsPlane, now: float) -> list[str]:
-    """Shard fleet health: restarts (with recovery time) and heartbeat
-    misses, from the windowed series the supervisor records."""
-    restarts = plane.store.select("shard.restart_seconds")
-    misses = plane.store.select("shard.heartbeat_miss")
-    if not restarts and not misses:
+    """Shard fleet health: restarts (with recovery time), heartbeat
+    misses and CPU placement, from the windowed series the supervisor
+    records."""
+    store = plane.store
+    restarts = store.select("shard.restart_seconds")
+    misses = store.select("shard.heartbeat_miss")
+    placed = {
+        stream.labels.get("shard", "?"): _latest_cpus(stream, now)
+        for stream in store.select("shard.worker_cpus")
+    }
+    placed = {shard: cpus for shard, cpus in placed.items() if cpus}
+    if not restarts and not misses and not placed:
         return []
-    rows = ["", "shards:"]
+    header = "shards:"
+    for stream in store.select("shard.parent_cpus"):
+        parent = _latest_cpus(stream, now)
+        if parent:
+            header = f"shards (front door on CPU {parent}):"
+    rows = ["", header]
+
+    def cpus(shard: str) -> str:
+        if shard not in placed:
+            return ""
+        return f", on CPU {placed[shard]}"
+
     missed_by_shard = {
         stream.labels.get("shard", "?"): sum(
             len(window.values or ())
@@ -135,11 +166,13 @@ def _shard_rows(plane: ObsPlane, now: float) -> list[str]:
         rows.append(
             f"  shard-{shard:<22} {len(values)} restart(s), "
             f"last recovery {last}, {missed} heartbeat miss(es)"
+            + cpus(shard)
         )
-    for shard in sorted(set(missed_by_shard) - seen):
+    for shard in sorted((set(missed_by_shard) | set(placed)) - seen):
         rows.append(
             f"  shard-{shard:<22} 0 restart(s), "
-            f"{missed_by_shard[shard]} heartbeat miss(es)"
+            f"{missed_by_shard.get(shard, 0)} heartbeat miss(es)"
+            + cpus(shard)
         )
     return rows
 

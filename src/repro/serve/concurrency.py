@@ -219,22 +219,33 @@ class ConcurrentEmulator:
     # -- dispatch --------------------------------------------------------------
 
     def invoke(self, api: str, params: dict | None = None) -> ApiResponse:
-        ctx = current_request()
         if self.inner.read_only(api):
-            # Lock-free read: pin the newest published version (two
-            # atomic attribute operations) and dispatch against it.
-            # No mutex, no condition variable, no contention with
-            # writers — and zero lock_wait_s.
-            slot = self._slots.slot()
-            version = self._chain.pin(slot)
-            try:
-                response = self.inner.invoke_at(version, api, params)
-            finally:
-                slot.pinned = None
-                slot.reads += 1
-            if ctx is not None:
-                ctx.registry_version = version.version
-            return response
+            return self.read(api, params)
+        return self.write(api, params)
+
+    def read(self, api: str, params: dict | None = None) -> ApiResponse:
+        """Dispatch a read-only API (the caller has classified it).
+
+        Lock-free: pin the newest published version (two atomic
+        attribute operations) and dispatch against it.  No mutex, no
+        condition variable, no contention with writers — and zero
+        lock_wait_s."""
+        slot = self._slots.slot()
+        version = self._chain.pin(slot)
+        try:
+            response = self.inner.invoke_at(version, api, params)
+        finally:
+            slot.pinned = None
+            slot.reads += 1
+        ctx = current_request()
+        if ctx is not None:
+            ctx.registry_version = version.version
+        return response
+
+    def write(self, api: str, params: dict | None = None) -> ApiResponse:
+        """Dispatch a mutating API (the caller has classified it) under
+        the writer mutex, log the attempt and publish its version."""
+        ctx = current_request()
         waited = perf_counter() if ctx is not None else 0.0
         with self._writer:
             if ctx is not None:

@@ -306,47 +306,45 @@ class FrontDoor:
             tenant = self.router.resolve(api_key)
         except AuthError as error:
             return self._auth_envelope(error)
-        return self._dispatch(tenant, request)
-
-    def _dispatch(self, tenant: Tenant, request: dict,
-                  parsed: tuple[str, dict] | None = None) -> dict:
-        """:meth:`dispatch` for a resolved tenant; ``parsed`` is the
-        envelope's ``(action, parameters)`` when already parsed."""
         try:
-            deadline, retry = (
-                envelope_meta(request, self.clock)
-                if isinstance(request, dict) else (None, False)
-            )
+            response = self._respond(tenant, request)
         except DeadlineError as error:
-            return {
-                "ResponseMetadata": {
-                    "RequestId": self._auth_ids.next()
-                },
-                "Error": {
-                    "Code": "InvalidParameterValue",
-                    "Message": str(error),
-                },
-            }
+            return self._deadline_envelope(error)
+        return tenant.endpoint.envelope(response)
+
+    def _respond(self, tenant: Tenant, request: dict,
+                 parsed: tuple[str, dict] | None = None) -> ApiResponse:
+        """One request's response from a resolved tenant's stack, with
+        its deadline and retry marks on the request-meta context and,
+        under the obs plane, its root span.  ``parsed`` is the
+        envelope's ``(action, parameters)`` when already parsed.  The
+        caller envelopes the response; a malformed ``DeadlineSeconds``
+        raises :class:`DeadlineError` before anything else runs."""
+        deadline, retry = (
+            envelope_meta(request, self.clock)
+            if isinstance(request, dict) else (None, False)
+        )
         endpoint = tenant.endpoint
+        action, parameters = (
+            endpoint.parse(request) if parsed is None else parsed
+        )
         telemetry = self.telemetry
         obs = None if telemetry is None else getattr(telemetry, "obs", None)
         if obs is None:
             if deadline is None and not retry:
-                return endpoint.dispatch(request, parsed)
+                return endpoint.call(action, parameters)
             with request_meta(deadline, retry):
-                return endpoint.dispatch(request, parsed)
-        api = ""
-        if isinstance(request, dict):
-            api = str(request.get("Action", ""))
-        with obs.request(tenant.name, api) as ctx:
+                return endpoint.call(action, parameters)
+        with obs.request(tenant.name, action) as ctx:
             if deadline is None and not retry:
-                body = endpoint.dispatch(request, parsed)
+                response = endpoint.call(action, parameters)
             else:
                 with request_meta(deadline, retry):
-                    body = endpoint.dispatch(request, parsed)
-            error_body = body.get("Error") if isinstance(body, dict) else None
-            obs.classify(ctx, (error_body or {}).get("Code", ""))
-        return body
+                    response = endpoint.call(action, parameters)
+            obs.classify(
+                ctx, "" if response.success else response.error_code
+            )
+        return response
 
     def handle(self, payload: "str | bytes",
                api_key: str | None = None) -> str:
@@ -354,8 +352,9 @@ class FrontDoor:
 
         The tenant is resolved and the envelope parsed once: the
         tenant's endpoint decodes the payload (bad UTF-8, bad JSON and
-        bad envelopes answer ``SerializationException``), and the
-        request then takes the rest of the :meth:`dispatch` path.
+        bad envelopes answer ``SerializationException``), the request
+        then takes the rest of the :meth:`dispatch` path, and the
+        endpoint's text encoder writes the reply.
         """
         try:
             tenant = self.router.resolve(api_key)
@@ -367,7 +366,11 @@ class FrontDoor:
             parsed = endpoint.parse(request)
         except ProtocolError as error:
             return json.dumps(endpoint.serialization_error(str(error)))
-        return json.dumps(self._dispatch(tenant, request, parsed))
+        try:
+            response = self._respond(tenant, request, parsed)
+        except DeadlineError as error:
+            return json.dumps(self._deadline_envelope(error))
+        return endpoint.encode(response)
 
     def invoke(self, api: str, params: dict | None = None,
                api_key: str | None = None,
@@ -443,6 +446,15 @@ class FrontDoor:
             tenant.emulator.version_stats()
             for tenant in self.router.tenants()
         )
+
+    def _deadline_envelope(self, error: DeadlineError) -> dict:
+        return {
+            "ResponseMetadata": {"RequestId": self._auth_ids.next()},
+            "Error": {
+                "Code": "InvalidParameterValue",
+                "Message": str(error),
+            },
+        }
 
     def _auth_envelope(self, error: AuthError) -> dict:
         if self.telemetry is not None:

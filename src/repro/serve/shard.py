@@ -15,7 +15,9 @@ tenant -> shard hash) and puts a supervising parent in front:
   queue (so injected restart storms converge: the queue drains and the
   shard comes back clean).  Both sides speak one frame codec
   (:class:`_Pipe`): a 4-byte length and a pickle, one ``os.write`` per
-  frame, one buffered ``os.read`` per reply.
+  frame, one buffered ``os.read`` per reply.  On a host with two or
+  more CPUs it runs the parent's threads on one CPU and the workers on
+  the rest while the parent is the busier side (:class:`_Placement`).
 - Each :class:`_ShardWorker` owns a private durability directory: a
   CRC-framed tenant-tagged **write-attempt log** (:class:`ShardLog`,
   the ``mid-serve-wal-append`` kill site — a crash there leaves a
@@ -29,7 +31,9 @@ tenant -> shard hash) and puts a supervising parent in front:
   verdict.
 - :class:`ShardedFrontDoor` keeps the whole single-process serving
   stack (envelope, auth, validation, admission) and swaps only the
-  bottom: each tenant's backend is an RPC stub to its owning shard.
+  bottom: each tenant's backend is an RPC stub to its owning shard,
+  and the worker encodes each reply's envelope, leaving the parent
+  only the request id to splice in.
   Requests to a dead shard shed with ``ServiceUnavailable`` + a
   Retry-After hint and a ``ShardUnavailable`` marker (so well-behaved
   clients back off for the failover, not forever), while surviving
@@ -69,7 +73,11 @@ from ..durability.snapshot import (
     write_snapshot,
 )
 from ..interpreter.emulator import Emulator
-from ..interpreter.endpoint import JsonEndpoint
+from ..interpreter.endpoint import (
+    EncodedResponse,
+    JsonEndpoint,
+    build_envelope,
+)
 from ..interpreter.errors import ApiResponse
 from ..resilience.chaos import (
     KILL_SITES,
@@ -110,6 +118,24 @@ SPAWN_TIMEOUT = 60.0
 
 #: Wall seconds between heartbeat ticks when ``heartbeat=True``.
 HEARTBEAT_INTERVAL = 0.2
+
+#: A process with open shard doors checks its CPU placement at most
+#: once per ``PLACEMENT_CHECK_SECONDS`` of wall time, looking at the
+#: clock every ``PLACEMENT_CHECK_REQUESTS`` requests, and only once
+#: its CPUs have done ``PLACEMENT_MIN_CPU`` seconds of work since the
+#: last check (worker CPU time is read in clock ticks).
+PLACEMENT_CHECK_SECONDS = 0.5
+PLACEMENT_CHECK_REQUESTS = 512
+PLACEMENT_MIN_CPU = 0.1
+
+#: Once off, placement returns only when the workers' CPUs are busy
+#: for less than this share of the door process's CPU time.  Unplaced,
+#: the door spends about 1.5x the CPU per request on GIL handoffs
+#: between CPUs (76-79 against 50 us on ``sharded``), so returning at
+#: parity would undo the decision to leave.
+PLACEMENT_RETURN = 0.6
+
+_CLOCK_TICKS = os.sysconf("SC_CLK_TCK") if hasattr(os, "sysconf") else 100
 
 #: The kill sites a worker process can die at (all of them reachable
 #: from the serve path; the build-side sites never fire in a worker).
@@ -216,12 +242,13 @@ class _Pipe:
 
     def call(self, payload: dict,
              deadline: float | None = None) -> dict | None:
-        """Send one request and return its reply (``None`` past
-        ``deadline``).  Replies to earlier requests that gave up
-        waiting carry older ids and are dropped here."""
+        """Send one request, stamping ``payload`` with its correlation
+        id, and return its reply (``None`` past ``deadline``).  Replies
+        to earlier requests that gave up waiting carry older ids and
+        are dropped here."""
         self.last_id += 1
-        mid = self.last_id
-        self.send({**payload, "id": mid})
+        mid = payload["id"] = self.last_id
+        self.send(payload)
         while True:
             reply = self.recv(deadline)
             if reply is None or reply.get("id") == mid:
@@ -278,7 +305,7 @@ class ShardLog:
             "seq": self._seq,
             "tenant": tenant,
             "api": api,
-            "params": encode_value(dict(params or {})),
+            "params": encode_value(params or {}),
         }
         self._writer.append(record)
         self._records.append(record)
@@ -444,10 +471,10 @@ class _ShardWorker:
         concurrent = self._tenant(tenant)
         self.requests += 1
         if concurrent.read_only(api):
-            return concurrent.invoke(api, params)
+            return concurrent.read(api, params)
         self.writes += 1
         self.log.append(tenant, api, params)
-        response = concurrent.invoke(api, params)
+        response = concurrent.write(api, params)
         self._count_write(tenant)
         return response
 
@@ -510,6 +537,8 @@ class _ShardWorker:
         return {
             "shard": self.config.index,
             "pid": os.getpid(),
+            # The CPUs this worker may run on (see _Placement).
+            "cpus": sorted(_affinity(0)),
             "requests": self.requests,
             "writes": self.writes,
             "admitted": self.log.seq,
@@ -537,14 +566,15 @@ def _serve(worker: _ShardWorker, message: dict) -> dict:
         else:
             response = worker.invoke(
                 message["tenant"], message["api"],
-                dict(message.get("params") or {}),
+                message.get("params") or {},
             )
-        # ``data`` crosses as is: the pickle keeps dicts and tuples.
+        # The worker encodes the envelope under an empty request id;
+        # the parent mints the id and splices it in (EncodedResponse).
         return {
             "id": mid, "ok": True, "success": response.success,
-            "data": response.data,
             "error_code": response.error_code,
             "error_message": response.error_message,
+            "text": json.dumps(build_envelope(response, "")),
         }
     if op == "ping":
         return {"id": mid, "ok": True, "pid": os.getpid()}
@@ -642,6 +672,225 @@ def _worker_main(config: ShardConfig, socks: list) -> None:
 
 
 # ---------------------------------------------------------------------------
+# CPU placement (parent side)
+# ---------------------------------------------------------------------------
+
+
+def _affinity(pid: int) -> set[int]:
+    """The CPUs ``pid`` (0: the calling thread) may run on; empty
+    where the platform cannot say."""
+    try:
+        return os.sched_getaffinity(pid)
+    except (AttributeError, OSError):
+        return set()
+
+
+def _current_cpu() -> int | None:
+    """The CPU the calling thread last ran on (``processor`` in
+    /proc/thread-self/stat); ``None`` where the platform cannot say."""
+    try:
+        with open("/proc/thread-self/stat", "rb") as stat:
+            fields = stat.read().rsplit(b")", 1)[1].split()
+        return int(fields[36])
+    except (OSError, IndexError, ValueError):
+        return None
+
+
+def _cpu_seconds(pid: int) -> float | None:
+    """User plus system CPU seconds of process ``pid`` so far, from
+    /proc/<pid>/stat; ``None`` where it cannot be read."""
+    try:
+        with open(f"/proc/{pid}/stat", "rb") as stat:
+            fields = stat.read().rsplit(b")", 1)[1].split()
+        return (int(fields[11]) + int(fields[12])) / _CLOCK_TICKS
+    except (OSError, IndexError, ValueError):
+        return None
+
+
+def _cpu_mask(cpus) -> float | None:
+    """A CPU set as one windowed-series value (bit ``c`` for CPU ``c``);
+    ``None`` past CPU 52, which a float cannot hold exactly."""
+    if not cpus or max(cpus) > 52:
+        return None
+    return float(sum(1 << cpu for cpu in cpus))
+
+
+def _threads() -> list[int]:
+    """The native ids of this process's live threads, those still
+    starting included; Python's own threads where /proc cannot say."""
+    try:
+        return [int(tid) for tid in os.listdir("/proc/self/task")]
+    except (OSError, ValueError):
+        return [thread.native_id for thread in threading.enumerate()
+                if thread.native_id is not None]
+
+
+def _pin(tid: int, cpus) -> None:
+    try:
+        os.sched_setaffinity(tid, cpus)
+    except OSError:
+        pass  # exited, or not allowed those CPUs
+
+
+class _Placement:
+    """Where a process with open shard doors runs, chosen from what its
+    CPUs are busy with.
+
+    Placed (``active``), every thread of the process runs on one CPU
+    (``parent_cpu``) and every worker on the rest (``worker_cpus``).
+    The parent's Python is GIL-bound, so its threads gain nothing from
+    a second CPU and pay for the GIL handing off between CPUs; the
+    workers get CPUs of their own.  That pays only while the door's
+    process is the busier side: :meth:`check` measures the process's
+    CPU time against its workers' and stops placing (every thread and
+    worker back on ``cpus``) once the workers' CPUs are busier than the
+    door's, and places again once they are clearly less busy.  One
+    placement serves every door open in the process; ``pinned`` maps
+    each thread it pinned (by native id) to the affinity it had before.
+    """
+
+    __slots__ = ("cpus", "parent_cpu", "worker_cpus", "doors", "pinned",
+                 "active", "requests", "due", "marks")
+
+    #: The process's placement while any door holds it.
+    current: "_Placement | None" = None
+    lock = threading.Lock()
+
+    def __init__(self, cpus: set[int]):
+        self.cpus = frozenset(cpus)
+        # The CPU the constructing thread runs on already, so the
+        # scheduler's balancing spreads the doors of several processes.
+        current = _current_cpu()
+        self.parent_cpu = current if current in cpus else min(cpus)
+        self.worker_cpus = self.cpus - {self.parent_cpu}
+        self.doors: list[ShardSupervisor] = []
+        self.pinned: dict[int, set[int]] = {}
+        self.active = False
+        #: Requests since the last look at the clock (see :meth:`tally`).
+        self.requests = 0
+        self.due = 0.0
+        #: The process's and each worker's CPU seconds at the last check.
+        self.marks: tuple[float, dict[int, float]] | None = None
+
+    @classmethod
+    def join(cls, door: "ShardSupervisor") -> "_Placement | None":
+        """Add ``door`` to the process's placement, making it (placed)
+        when no door holds one.  ``None`` when the calling thread may
+        run on one CPU only or the platform cannot pin threads: then
+        nothing is placed."""
+        with cls.lock:
+            placement = cls.current
+            if placement is None:
+                cpus = _affinity(0)
+                if len(cpus) < 2 or not hasattr(os, "sched_setaffinity"):
+                    return None
+                placement = cls.current = cls(cpus)
+                placement._set(True)
+            elif placement.active:
+                # Started while placed, or re-pinned since: its own CPUs
+                # are not known, so it gets ``cpus`` back.
+                _pin(0, {placement.parent_cpu})
+            placement.doors.append(door)
+        return placement
+
+    @classmethod
+    def leave(cls, placement: "_Placement",
+              door: "ShardSupervisor") -> None:
+        """``door`` closed; the last door to close gives every thread
+        its CPUs back."""
+        with cls.lock:
+            placement.doors.remove(door)
+            if not placement.doors:
+                placement._set(False)
+                if cls.current is placement:
+                    cls.current = None
+
+    def _set(self, active: bool) -> None:
+        """Place every live thread of the process and every worker, or
+        give them their CPUs back; the lock is held.  Only threads
+        alive now are touched: an exited thread's native id may be
+        another's by now.  Threads started while placed inherit the
+        parent CPU and get ``cpus`` back."""
+        self.active = active
+        done: set[int] = set()
+        while True:
+            # Again until no thread is new: one started meanwhile by a
+            # thread not yet done has its starter's old CPUs.
+            tids = [tid for tid in _threads() if tid not in done]
+            if not tids:
+                break
+            for tid in tids:
+                if active:
+                    if not done:  # later ones may have inherited the pin
+                        self.pinned[tid] = _affinity(tid)
+                    _pin(tid, {self.parent_cpu})
+                else:
+                    _pin(tid, self.pinned.get(tid) or self.cpus)
+            done.update(tids)
+        if not active:
+            self.pinned.clear()
+        for door in self.doors:
+            for process in door._workers.values():
+                if process.is_alive():
+                    self.place(process)
+            door._export_placement()
+
+    def place(self, process) -> None:
+        """Give a worker the CPUs of the current state; lock held."""
+        _pin(process.pid, self.worker_cpus if self.active else self.cpus)
+
+    def tally(self) -> None:
+        """Count one request; every ``PLACEMENT_CHECK_REQUESTS`` the
+        placement is checked if ``PLACEMENT_CHECK_SECONDS`` have
+        passed.  Lost counts from racing threads only delay a check."""
+        self.requests += 1
+        if self.requests >= PLACEMENT_CHECK_REQUESTS:
+            self.requests = 0
+            if time.monotonic() >= self.due:
+                self.check()
+
+    def check(self) -> None:
+        """Place, or stop placing, from the CPU time spent since the
+        last check: placed while the workers' CPU time per worker CPU
+        is at most the process's own, and placed again once it is
+        below ``PLACEMENT_RETURN`` of the process's."""
+        if not self.lock.acquire(blocking=False):
+            return  # another thread is checking or a door is changing
+        try:
+            if not self.doors:
+                return  # ended: the last door gave the CPUs back
+            self.due = time.monotonic() + PLACEMENT_CHECK_SECONDS
+            door_now = time.process_time()
+            workers_now = {}
+            for door in self.doors:
+                for process in door._workers.values():
+                    seconds = _cpu_seconds(process.pid)
+                    if seconds is not None:
+                        workers_now[process.pid] = seconds
+            marks = self.marks
+            self.marks = (door_now, workers_now)
+            if marks is None:
+                return
+            door_cpu = door_now - marks[0]
+            workers_cpu = sum(
+                seconds - marks[1].get(pid, seconds)
+                for pid, seconds in workers_now.items()
+            )
+            if door_cpu + workers_cpu < PLACEMENT_MIN_CPU:
+                self.marks = marks  # too little work yet to tell
+                return
+            busy = workers_cpu / len(self.worker_cpus)
+            if self.active:
+                placed = busy <= door_cpu
+            else:
+                placed = busy < PLACEMENT_RETURN * door_cpu
+            if placed != self.active:
+                self._set(placed)
+        finally:
+            self.lock.release()
+
+
+# ---------------------------------------------------------------------------
 # Supervisor side (runs in the parent process)
 # ---------------------------------------------------------------------------
 
@@ -695,6 +944,15 @@ class ShardSupervisor:
     entry, and an exhausted queue arms nothing — so a restart storm
     (the same shard killed k times in a row) converges to a clean
     worker.
+
+    Where the process may run on two or more CPUs, construction joins
+    the process's CPU placement (:class:`_Placement`): while placed,
+    every thread of the process runs on one CPU and every worker, on
+    each spawn and restart, on the others; the placement is checked
+    from CPU time as requests flow and lifted while the workers are the
+    busier side.  The last door's :meth:`close` gives every thread its
+    CPUs back.  ``parent_cpu`` and ``worker_cpus`` report the current
+    state (``None`` and empty while nothing is placed).
     """
 
     def __init__(
@@ -747,21 +1005,47 @@ class ShardSupervisor:
         #: Recovery self-checks that failed byte-identity, across every
         #: generation of every shard (folded into linearizability).
         self.recovery_failures: list[str] = []
+        #: The latest process started for each shard (see _Placement).
+        self._workers: dict[int, multiprocessing.Process] = {}
+        self._placement = _Placement.join(self)
         self._handles = []
-        for index in range(max(1, shards)):
-            handle = _ShardHandle(index)
-            process, pipes, hello = self._launch(index, generation=0)
-            handle.process = process
-            for pipe in pipes:
-                handle.pool.put(pipe)
-            self._adopt_hello(handle, hello)
-            self._handles.append(handle)
+        try:
+            for index in range(max(1, shards)):
+                handle = _ShardHandle(index)
+                process, pipes, hello = self._launch(index, generation=0)
+                handle.process = process
+                for pipe in pipes:
+                    handle.pool.put(pipe)
+                self._adopt_hello(handle, hello)
+                self._handles.append(handle)
+        except BaseException:
+            for handle in self._handles:
+                handle.process.terminate()
+            self._unplace()
+            raise
+        self._export_placement()
         self._hb_stop: threading.Event | None = None
         self._hb_thread: threading.Thread | None = None
         if heartbeat:
             self.start_heartbeat()
 
     # -- spawning ----------------------------------------------------------
+
+    @property
+    def parent_cpu(self) -> int | None:
+        """The CPU every thread of this process runs on while placed."""
+        placement = self._placement
+        if placement is None or not placement.active:
+            return None
+        return placement.parent_cpu
+
+    @property
+    def worker_cpus(self) -> frozenset:
+        """The CPUs the workers run on while placed."""
+        placement = self._placement
+        if placement is None or not placement.active:
+            return frozenset()
+        return placement.worker_cpus
 
     @property
     def shards(self) -> int:
@@ -807,6 +1091,11 @@ class ShardSupervisor:
             finally:
                 for __, child in pairs:
                     child.close()
+            placement = self._placement
+            if placement is not None:
+                with _Placement.lock:
+                    self._workers[index] = process
+                    placement.place(process)
             deadline = time.monotonic() + SPAWN_TIMEOUT
             while True:
                 try:
@@ -858,6 +1147,9 @@ class ShardSupervisor:
         the heartbeat.
         """
         handle = self._handles[index]
+        placement = self._placement
+        if placement is not None:
+            placement.tally()
         pool = handle.pool
         pipe = pool.get()
         try:
@@ -967,6 +1259,7 @@ class ShardSupervisor:
             "at": round(self.clock.now(), 9),
         })
         self._export_restart(handle, seconds, replayed)
+        self._export_worker_cpus(handle.index)
         self._notify_health(handle.index, alive=True)
         return True
 
@@ -976,6 +1269,35 @@ class ShardSupervisor:
                 listener(index, alive)
             except Exception:
                 pass  # a broken listener must never sink the parent
+
+    def _export_placement(self) -> None:
+        """Record where the door's threads and every worker run, for
+        the ``repro top`` fleet panel, once per placement change."""
+        placement = self._placement
+        obs = getattr(self.telemetry, "obs", None)
+        if obs is None or placement is None:
+            return
+        cpus = {placement.parent_cpu} if placement.active else placement.cpus
+        mask = _cpu_mask(cpus)
+        if mask is not None:
+            obs.store.histogram("shard.parent_cpus").record(
+                self.clock.now(), mask
+            )
+        for index in self._workers:
+            self._export_worker_cpus(index)
+
+    def _export_worker_cpus(self, index: int) -> None:
+        """Record the CPUs shard ``index``'s worker runs on, as a mask."""
+        placement = self._placement
+        obs = getattr(self.telemetry, "obs", None)
+        if obs is None or placement is None:
+            return
+        cpus = placement.worker_cpus if placement.active else placement.cpus
+        mask = _cpu_mask(cpus)
+        if mask is not None:
+            obs.store.histogram("shard.worker_cpus", shard=str(index)).record(
+                self.clock.now(), mask
+            )
 
     def _export_restart(self, handle: _ShardHandle, seconds: float,
                         replayed: int) -> None:
@@ -1190,6 +1512,7 @@ class ShardSupervisor:
         closed pipes go back into the pools, so later requests return
         ``None`` at once."""
         self._closed = True
+        self._unplace()
         if self._hb_stop is not None:
             self._hb_stop.set()
         if self._hb_thread is not None:
@@ -1214,6 +1537,12 @@ class ShardSupervisor:
                 handle.process.terminate()
                 handle.process.join(timeout=5)
 
+    def _unplace(self) -> None:
+        """Leave the process's placement (once)."""
+        placement, self._placement = self._placement, None
+        if placement is not None:
+            _Placement.leave(placement, self)
+
     def __enter__(self) -> "ShardSupervisor":
         return self
 
@@ -1231,8 +1560,10 @@ class _ShardBackend:
 
     Looks like a :class:`ConcurrentEmulator` to the serving stack
     (classification, reset, snapshot) but dispatches over the
-    supervisor's pipe RPC; reply data arrives unpickled, as the worker
-    built it.  When the shard is down, every call sheds
+    supervisor's pipe RPC; a reply arrives as the envelope text the
+    worker encoded (an :class:`EncodedResponse`), which the tenant's
+    endpoint returns with the request id spliced in.  When the shard
+    is down, every call sheds
     with ``ServiceUnavailable`` + a Retry-After hint and a
     ``ShardUnavailable`` marker, which rides inside the error envelope
     the way admission throttle metadata does — clients back off for
@@ -1262,7 +1593,7 @@ class _ShardBackend:
     def invoke(self, api: str, params: dict | None = None) -> ApiResponse:
         payload = {
             "op": "invoke", "tenant": self.tenant, "api": api,
-            "params": dict(params or {}),
+            "params": params,
         }
         meta = current_meta()
         if meta is not None and meta.deadline is not None:
@@ -1286,11 +1617,9 @@ class _ShardBackend:
             return ApiResponse.fail(
                 "InternalError", reply.get("error", "shard worker error")
             )
-        return ApiResponse(
-            success=reply["success"],
-            data=reply["data"],
-            error_code=reply.get("error_code", ""),
-            error_message=reply.get("error_message", ""),
+        return EncodedResponse(
+            reply["text"], reply["success"], reply["error_code"],
+            reply["error_message"],
         )
 
     def _unavailable(self) -> ApiResponse:

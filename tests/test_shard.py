@@ -11,6 +11,7 @@ byte-identical recovery.
 import json
 import os
 import random
+import sys
 import threading
 import time
 
@@ -18,6 +19,8 @@ import pytest
 
 from repro.core import build_learned_emulator
 from repro.interpreter import Emulator
+from repro.interpreter.endpoint import EncodedResponse, JsonEndpoint
+from repro.interpreter.errors import ApiResponse
 from repro.resilience.chaos import (
     KILL_SITES,
     SimulatedCrash,
@@ -40,6 +43,7 @@ from repro.serve.shard import (
     WORKER_KILL_SITES,
     ShardConfig,
     _ShardWorker,
+    _serve,
 )
 from repro.spec import parse_module, serialize_module
 
@@ -93,6 +97,387 @@ class TestPlacement:
     def test_single_shard_degenerate(self):
         assert shard_for("anyone", 1) == 0
         assert shard_for("anyone", 0) == 0  # clamped, not div-by-zero
+
+
+def _cpus_allowed() -> set:
+    try:
+        return os.sched_getaffinity(0)
+    except AttributeError:
+        return set()
+
+
+def _in_thread(fn):
+    """Run ``fn`` on a fresh thread (its CPU affinity is its own) and
+    return its result, re-raising what it raised."""
+    out = {}
+
+    def run():
+        try:
+            out["value"] = fn()
+        except BaseException as error:  # re-raised below
+            out["error"] = error
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join()
+    if "error" in out:
+        raise out["error"]
+    return out["value"]
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(_cpus_allowed()) < 2,
+    reason="CPU placement needs sched_setaffinity and 2+ allowed CPUs",
+)
+class TestCpuPlacement:
+    """The door's GIL-bound threads share one CPU; workers get the
+    rest, while the door is the busier side.  Each test runs on its own
+    thread and every door is closed, so the test runner gets its CPUs
+    back."""
+
+    @staticmethod
+    def _worker_cpus(supervisor) -> dict:
+        return {
+            stats["shard"]: (set(stats["cpus"]),
+                             os.sched_getaffinity(stats["pid"]))
+            for stats in supervisor.shard_stats()
+        }
+
+    def test_parent_on_one_cpu_workers_off_it(self, tmp_path):
+        def run():
+            before = os.sched_getaffinity(0)
+            main = threading.main_thread().native_id
+            main_before = os.sched_getaffinity(main)
+            with ShardSupervisor(
+                toy_module(), shards=2, data_dir=tmp_path
+            ) as supervisor:
+                parent = supervisor.parent_cpu
+                assert os.sched_getaffinity(0) == {parent}
+                # Every thread of the process shares the GIL, so all
+                # of them are placed.
+                assert os.sched_getaffinity(main) == {parent}
+                # Threads the constructing thread starts inherit it.
+                seen = []
+                child = threading.Thread(
+                    target=lambda: seen.append(os.sched_getaffinity(0))
+                )
+                child.start()
+                child.join()
+                assert seen == [{parent}]
+                workers = self._worker_cpus(supervisor)
+                assert len(workers) == 2
+                for reported, actual in workers.values():
+                    assert reported == actual
+                    assert parent not in actual
+                    assert actual == supervisor.worker_cpus
+                assert supervisor.worker_cpus == before - {parent}
+            assert os.sched_getaffinity(0) == before
+            assert os.sched_getaffinity(main) == main_before
+
+        _in_thread(run)
+
+    def test_restarted_worker_keeps_the_worker_cpus(self, tmp_path):
+        def run():
+            with ShardSupervisor(
+                toy_module(), shards=1, data_dir=tmp_path
+            ) as supervisor:
+                [(first, __)] = self._worker_cpus(supervisor).values()
+                supervisor.kill(0)
+                assert supervisor.tick()["restarted"] == 1
+                [(again, actual)] = self._worker_cpus(supervisor).values()
+                assert again == first == actual
+                assert supervisor.parent_cpu not in actual
+
+        _in_thread(run)
+
+    def test_close_restores_the_callers_affinity(self, tmp_path):
+        def run():
+            before = os.sched_getaffinity(0)
+            supervisor = ShardSupervisor(
+                toy_module(), shards=1, data_dir=tmp_path
+            )
+            assert os.sched_getaffinity(0) != before
+            supervisor.close()
+            assert os.sched_getaffinity(0) == before
+            supervisor.close()  # a second close changes nothing
+            assert os.sched_getaffinity(0) == before
+
+        _in_thread(run)
+
+    def test_overlapping_doors_share_one_placement(self, tmp_path):
+        def run():
+            before = os.sched_getaffinity(0)
+            first = ShardSupervisor(
+                toy_module(), shards=1, data_dir=tmp_path / "a"
+            )
+            # A thread that took its CPUs back is placed again by the
+            # next door it builds.
+            os.sched_setaffinity(0, before)
+            try:
+                second = ShardSupervisor(
+                    toy_module(), shards=1, data_dir=tmp_path / "b"
+                )
+            except BaseException:
+                first.close()
+                raise
+            try:
+                parent = first.parent_cpu
+                assert second.parent_cpu == parent
+                assert os.sched_getaffinity(0) == {parent}
+                for supervisor in (first, second):
+                    for __, actual in self._worker_cpus(
+                        supervisor
+                    ).values():
+                        assert parent not in actual
+                first.close()
+                # The second door still holds the placement.
+                assert os.sched_getaffinity(0) == {parent}
+                assert second.restart(0)
+                for __, actual in self._worker_cpus(second).values():
+                    assert parent not in actual
+            finally:
+                first.close()
+                second.close()
+            assert os.sched_getaffinity(0) == before
+
+        _in_thread(run)
+
+    def test_concurrent_doors_restore_every_thread(self):
+        """Threads joining and leaving the shared placement at once
+        (more threads than CPUs, a tiny switch interval): each is on
+        the parent CPU while it holds a door, and the last door gives
+        every thread its CPUs back."""
+        from repro.serve.shard import _Placement
+
+        def run():
+            before = os.sched_getaffinity(0)
+            errors = []
+
+            def churn():
+                try:
+                    for __ in range(200):
+                        door = object()
+                        placement = _Placement.join(door)
+                        assert os.sched_getaffinity(0) == {
+                            placement.parent_cpu
+                        }
+                        _Placement.leave(placement, door)
+                except BaseException as error:  # re-raised below
+                    errors.append(error)
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                threads = [threading.Thread(target=churn) for __ in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            assert not errors, errors[0]
+            assert _Placement.current is None
+            assert os.sched_getaffinity(0) == before
+
+        _in_thread(run)
+
+    def test_fleet_panel_shows_the_placement(self, tmp_path):
+        from repro.obs import ObsPlane, render_frame
+        from repro.telemetry import Telemetry
+
+        def run():
+            module = toy_module()
+            telemetry = Telemetry(service="toy")
+            plane = ObsPlane(telemetry)
+            with ShardedFrontDoor(
+                module, lambda: Emulator(module), shards=2,
+                data_dir=tmp_path, telemetry=telemetry,
+            ) as front:
+                parent = front.supervisor.parent_cpu
+                workers = ",".join(
+                    str(cpu) for cpu in sorted(front.supervisor.worker_cpus)
+                )
+                front.clock.sleep(0.5)
+                return parent, workers, render_frame(plane).splitlines()
+
+        parent, workers, lines = _in_thread(run)
+        header = f"shards (front door on CPU {parent}):"
+        assert header in lines
+        rows = lines[lines.index(header) + 1:][:2]
+        assert [row.split()[0] for row in rows] == ["shard-0", "shard-1"]
+        assert all(row.endswith(f"on CPU {workers}") for row in rows)
+
+    def test_serve_bench_json_reports_the_placement(self, capsys,
+                                                    tmp_path):
+        from repro.cli import main as cli_main
+
+        def run():
+            cpus = os.sched_getaffinity(0)
+            status = cli_main([
+                "serve-bench", "ec2", "--shards", "2", "--workers", "2",
+                "--requests", "60", "--json",
+                "--shard-dir", str(tmp_path),
+            ])
+            return cpus, status
+
+        cpus, status = _in_thread(run)
+        assert status == 0
+        summary = json.loads(capsys.readouterr().out)["sharding"]
+        parent = summary["parent_cpu"]
+        assert parent in cpus
+        assert summary["worker_cpus"] == [sorted(cpus - {parent})] * 2
+
+    def test_door_of_an_exited_thread_is_closed_elsewhere(
+        self, tmp_path, monkeypatch
+    ):
+        """A door built on a thread that has exited is closed from
+        another: the exited thread's native id may belong to another
+        thread by now, so nothing is re-pinned."""
+        from repro.serve.shard import _Placement
+
+        built = []
+
+        def run():
+            builder = threading.Thread(target=lambda: built.append(
+                ShardSupervisor(toy_module(), shards=1, data_dir=tmp_path)
+            ))
+            builder.start()
+            builder.join()
+            [supervisor] = built
+            tasks = "/proc/self/task"
+            deadline = time.monotonic() + 10
+            while (str(builder.native_id) in os.listdir(tasks)
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)  # the OS thread outlives join()
+            pinned = []
+            setaffinity = os.sched_setaffinity
+            monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: (
+                pinned.append(pid), setaffinity(pid, cpus)
+            ))
+            supervisor.close()
+            assert builder.native_id not in pinned
+            assert threading.get_native_id() in pinned  # restored
+            assert _Placement.current is None
+
+        _in_thread(run)
+
+    def test_door_starts_on_the_cpu_it_runs_on(self, tmp_path,
+                                               monkeypatch):
+        """Doors of several processes spread over the CPUs: each pins
+        its threads to the CPU it was running on, not to the lowest."""
+        from repro.serve import shard
+
+        def run():
+            cpus = os.sched_getaffinity(0)
+            for cpu in cpus:
+                os.sched_setaffinity(0, {cpu})
+                assert shard._current_cpu() == cpu
+            os.sched_setaffinity(0, cpus)
+            monkeypatch.setattr(shard, "_current_cpu", lambda: max(cpus))
+            with ShardSupervisor(
+                toy_module(), shards=1, data_dir=tmp_path
+            ) as supervisor:
+                assert supervisor.parent_cpu == max(cpus)
+                assert os.sched_getaffinity(0) == {max(cpus)}
+                [(__, actual)] = self._worker_cpus(supervisor).values()
+                assert max(cpus) not in actual
+
+        _in_thread(run)
+
+    def test_placement_follows_the_busier_side(self, tmp_path, monkeypatch):
+        """Placement is lifted once the workers' CPUs are busier than
+        the door's, comes back only once they are clearly less busy,
+        and a window with too little work decides nothing."""
+        import time as time_module
+
+        from repro.serve import shard
+
+        door_cpu, worker_cpu = [0.0], [0.0]
+        monkeypatch.setattr(time_module, "process_time",
+                            lambda: door_cpu[0])
+        monkeypatch.setattr(shard, "_cpu_seconds",
+                            lambda pid: worker_cpu[0])
+
+        def run():
+            before = os.sched_getaffinity(0)
+            with ShardSupervisor(
+                toy_module(), shards=1, data_dir=tmp_path
+            ) as supervisor:
+                placement = supervisor._placement
+                parent = supervisor.parent_cpu
+
+                def window(door, busy):
+                    door_cpu[0] += door
+                    worker_cpu[0] += busy * len(placement.worker_cpus)
+                    placement.check()
+
+                window(0.0, 0.0)  # the first check only takes marks
+                window(0.5, 0.5)  # workers as busy as the door: stay
+                assert placement.active
+                window(0.5, 0.6)  # workers busier: lift
+                assert not placement.active
+                assert supervisor.parent_cpu is None
+                assert supervisor.worker_cpus == frozenset()
+                assert os.sched_getaffinity(0) == before
+                [(reported, actual)] = self._worker_cpus(
+                    supervisor
+                ).values()
+                assert reported == actual == before
+                window(1.0, 0.7)  # less busy, not clearly: stay off
+                assert not placement.active
+                window(0.01, 0.0)  # too little work to tell
+                assert not placement.active
+                window(1.0, 0.5)  # clearly less busy: place again
+                assert placement.active
+                assert supervisor.parent_cpu == parent
+                assert os.sched_getaffinity(0) == {parent}
+                [(__, actual)] = self._worker_cpus(supervisor).values()
+                assert parent not in actual
+            assert os.sched_getaffinity(0) == before
+            window(1.0, 0.0)  # a check after the last door: nothing
+            assert os.sched_getaffinity(0) == before
+
+        _in_thread(run)
+
+    def test_requests_schedule_checks(self, tmp_path, monkeypatch):
+        from repro.serve import shard
+
+        def run():
+            with ShardSupervisor(
+                toy_module(), shards=1, data_dir=tmp_path
+            ) as supervisor:
+                placement = supervisor._placement
+                checks = []
+                monkeypatch.setattr(placement.__class__, "check",
+                                    lambda self: checks.append(1))
+                placement.due = 0.0
+                for __ in range(shard.PLACEMENT_CHECK_REQUESTS):
+                    supervisor.request(0, {"op": "ping"})
+                assert len(checks) == 1
+                placement.due = float("inf")  # not due: no check
+                for __ in range(shard.PLACEMENT_CHECK_REQUESTS):
+                    supervisor.request(0, {"op": "ping"})
+                assert len(checks) == 1
+
+        _in_thread(run)
+
+    def test_thread_pinned_to_one_cpu_places_nothing(self, tmp_path):
+        def run():
+            cpu = min(os.sched_getaffinity(0))
+            os.sched_setaffinity(0, {cpu})
+            with ShardSupervisor(
+                toy_module(), shards=1, data_dir=tmp_path
+            ) as supervisor:
+                assert supervisor.parent_cpu is None
+                assert supervisor.worker_cpus == frozenset()
+                [(reported, actual)] = self._worker_cpus(
+                    supervisor
+                ).values()
+                assert reported == actual == {cpu}
+            assert os.sched_getaffinity(0) == {cpu}
+
+        _in_thread(run)
 
 
 class TestParseKillSchedule:
@@ -588,11 +973,14 @@ def build():
 
 
 class TestReplyFidelity:
-    """Replies cross the shard pipe as pickles, not through the
-    snapshot value codec; the wire must not tell the difference."""
+    """A worker encodes each reply's envelope under an empty request
+    id and the parent splices the id in; every door surface must
+    answer as an in-process door does."""
 
     @staticmethod
-    def _envelopes(front, requests: int = 150) -> list[str]:
+    def _traffic(front, send, requests: int = 150) -> list:
+        """``send(front, api, params, tenant)`` for a seeded mix, as
+        ``(reply, created id)`` pairs; returns the replies."""
         model = TrafficModel.of(front)
         rng = random.Random(41)
         ids = {f"tenant-{index}": {} for index in range(3)}
@@ -601,31 +989,161 @@ class TestReplyFidelity:
             tenant = rng.choice(sorted(ids))
             api, params, __ = model.request(rng, 0.5, ids[tenant])
             front.clock.sleep(0.01)
-            reply = front.handle(
-                json.dumps({"Action": api, "Parameters": params}),
-                api_key=tenant,
-            )
+            reply, created = send(front, api, params, tenant)
             out.append(reply)
-            created = json.loads(reply).get("id")
             if isinstance(created, str) and created:
                 ids[tenant].setdefault(
                     model.owning_sm(api), []
                 ).append(created)
         return out
 
-    @pytest.mark.parametrize("service", ["ec2", "dynamodb", "s3"])
-    def test_sharded_envelopes_match_in_process(self, service, tmp_path):
-        built = build_learned_emulator(service, seed=7, align=False)
-        local = self._envelopes(
-            FrontDoor(built.module, built.make_backend)
+    @staticmethod
+    def _handle(front, api, params, tenant):
+        reply = front.handle(
+            json.dumps({"Action": api, "Parameters": params}),
+            api_key=tenant,
+        )
+        return reply, json.loads(reply).get("id")
+
+    @staticmethod
+    def _dispatch(front, api, params, tenant):
+        body = front.dispatch(
+            {"Action": api, "Parameters": params}, api_key=tenant
+        )
+        return body, body.get("id")
+
+    @staticmethod
+    def _invoke(front, api, params, tenant):
+        response = front.invoke(api, params, api_key=tenant)
+        fields = (response.success, response.data, response.error_code,
+                  response.error_message)
+        return fields, response.data.get("id")
+
+    def _compare(self, built, tmp_path, send, **door) -> list:
+        local = self._traffic(
+            FrontDoor(built.module, built.make_backend, **door), send
         )
         with ShardedFrontDoor(
             built.module, built.make_backend, shards=2,
-            data_dir=tmp_path,
+            data_dir=tmp_path, **door,
         ) as front:
-            sharded = self._envelopes(front)
-        assert sum('"Error"' not in reply for reply in local) > 20
+            sharded = self._traffic(front, send)
         assert sharded == local
+        return local
+
+    @pytest.mark.parametrize("service", ["ec2", "dynamodb", "s3"])
+    def test_sharded_envelopes_match_in_process(self, service, tmp_path):
+        built = build_learned_emulator(service, seed=7, align=False)
+        local = self._compare(built, tmp_path, self._handle)
+        assert sum('"Error"' not in reply for reply in local) > 20
+
+    @pytest.mark.parametrize("surface", ["dispatch", "invoke"])
+    def test_dispatch_and_invoke_match_in_process(self, build, surface,
+                                                  tmp_path):
+        local = self._compare(
+            build, tmp_path, getattr(self, f"_{surface}")
+        )
+        assert len(local) == 150
+
+    def test_parent_made_errors_match_in_process(self, build, tmp_path):
+        """Throttle sheds carry ``RetryAfterSeconds`` in their error
+        object and validation rejects never reach a worker; both come
+        out of a sharded door as they do in process."""
+        local = self._compare(
+            build, tmp_path, self._handle, rate=20.0, burst=5.0
+        )
+        errors = [json.loads(reply).get("Error", {}) for reply in local]
+        assert any("RetryAfterSeconds" in error for error in errors)
+        rejected = {"Action": "CreateVpc", "Parameters": {"CidrBlock": 5}}
+        local_door = FrontDoor(build.module, build.make_backend)
+        with ShardedFrontDoor(
+            build.module, build.make_backend, shards=2,
+            data_dir=tmp_path / "reject",
+        ) as front:
+            reply = front.handle(json.dumps(rejected))
+        assert reply == local_door.handle(json.dumps(rejected))
+        assert json.loads(reply)["Error"]["Code"] == "ValidationError"
+
+    def test_shard_unavailable_envelope(self, build, tmp_path):
+        """The parent's own shed for a dead shard takes the tenant's
+        next request id and carries its marker in the error object."""
+        create = json.dumps({
+            "Action": "CreateVpc",
+            "Parameters": {"CidrBlock": "10.0.0.0/16"},
+        })
+        local = FrontDoor(build.module, build.make_backend)
+        want_ids = [
+            json.loads(local.handle(create))["ResponseMetadata"]
+            for __ in range(2)
+        ]
+        with ShardedFrontDoor(
+            build.module, build.make_backend, shards=1,
+            data_dir=tmp_path, auto_restart=False,
+        ) as front:
+            first = json.loads(front.handle(create))
+            front.supervisor.kill(0)
+            reply = front.handle(create)
+        assert first["ResponseMetadata"] == want_ids[0]
+        body = json.loads(reply)
+        assert json.dumps(body) == reply
+        assert body["ResponseMetadata"] == want_ids[1]
+        assert body["Error"] == {
+            "Code": "ServiceUnavailable",
+            "Message": "shard 0 is restarting; retry in 0.25s",
+            "RetryAfterSeconds": 0.25,
+            "ShardUnavailable": True,
+            "Shard": 0,
+        }
+
+    @pytest.mark.parametrize("response", [
+        ApiResponse(True, {"ResponseMetadata": {"HTTPStatusCode": 200},
+                           "VpcId": "vpc-1"}),
+        ApiResponse(True, {"Vpcs": [{"VpcId": "vpc-1", "Tags": []}]}),
+        ApiResponse(True, {}),
+        ApiResponse(False, {"RetryAfterSeconds": 0.5}, "Throttled", "m"),
+        ApiResponse(False, {}, "InvalidVpcID.NotFound", "no vpc"),
+    ])
+    def test_worker_encoded_reply_matches_in_process(self, response,
+                                                     tmp_path):
+        """The worker's reply for ``response`` decodes, splices and
+        reads back as the in-process endpoint's, including data with a
+        top-level ``ResponseMetadata`` key, which keeps its own value
+        there in place of the request id."""
+
+        class Backend:
+            def __init__(self, make):
+                self.make = make
+
+            def invoke(self, api, params):
+                return self.make()
+
+        class Worker:
+            def invoke(self, tenant, api, params):
+                return response
+
+        def from_worker():
+            reply = _serve(Worker(), {
+                "id": 1, "op": "invoke", "tenant": "t", "api": "X",
+                "params": {},
+            })
+            return EncodedResponse(
+                reply["text"], reply["success"], reply["error_code"],
+                reply["error_message"],
+            )
+
+        local = JsonEndpoint(Backend(lambda: response))
+        sharded = JsonEndpoint(Backend(from_worker))
+        request = json.dumps({"Action": "X"})
+        assert sharded.handle(request) == local.handle(request)
+        assert sharded.dispatch({"Action": "X"}) == (
+            local.dispatch({"Action": "X"})
+        )
+        decoded = from_worker()
+        assert (decoded.success, decoded.data, decoded.error_code,
+                decoded.error_message) == (
+            response.success, response.data, response.error_code,
+            response.error_message,
+        )
 
 
 class TestShardScenario:
