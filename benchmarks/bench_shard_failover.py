@@ -13,7 +13,7 @@ buys (``BENCH_shard_failover.json``):
 
 2. **Recovery time** — the supervisor's own restart accounting
    (``recovery_seconds`` per restart, replayed attempt count), split
-   out so regressions in WAL replay show up independently of
+   out so regressions in log replay show up independently of
    detection latency.
 
 3. **Surviving-shard throughput dip** — reads against the *other*

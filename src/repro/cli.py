@@ -308,7 +308,9 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
                 "restarts": supervisor.restarts,
                 "restart_log": list(supervisor.restart_log),
                 "recovery_failures": list(supervisor.recovery_failures),
-                "data_dir": str(supervisor.data_dir),
+                # Null when the shards ran in a temp directory, which
+                # the close below removes.
+                "data_dir": args.shard_dir,
             }
     finally:
         if args.shards:
@@ -737,8 +739,9 @@ def main(argv: list[str] | None = None) -> int:
                                   "(each repeat of a shard arms its next "
                                   "restart generation)")
     serve_bench.add_argument("--shard-dir", default=None, metavar="DIR",
-                             help="per-shard WAL + snapshot root "
-                                  "(default: a fresh temp dir)")
+                             help="per-shard attempt log + snapshot root, "
+                                  "kept after the run (default: a fresh "
+                                  "temp dir, removed at exit)")
     serve_bench.add_argument("--fair", action="store_true",
                              help="admit through the holistic weighted "
                                   "max-min allocator (one shared "

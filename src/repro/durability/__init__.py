@@ -1,5 +1,7 @@
-"""Crash-safe durability: atomic writes, the build journal, emulator
-snapshots and the write-ahead mutation log.
+"""Crash-safe durability: atomic writes, the build journal and
+emulator snapshots (the serve layer's write-attempt log,
+:class:`~repro.serve.concurrency.AdmittedLog`, frames its records with
+the journal's codec).
 
 Every persistence path in the system routes through here so that a
 process death at any instant — injected by the kill-point chaos layer
@@ -29,7 +31,6 @@ from .snapshot import (
     snapshot_registry,
     write_snapshot,
 )
-from .wal import WAL_NAME, MutationLog, replay_mutations
 
 __all__ = [
     "atomic_write",
@@ -49,9 +50,6 @@ __all__ = [
     "restore_registry",
     "snapshot_registry",
     "write_snapshot",
-    "WAL_NAME",
-    "MutationLog",
-    "replay_mutations",
     "CrashRun",
     "crash_resume_build",
     "dir_digest",

@@ -44,7 +44,6 @@ class DurabilityStats:
     journal_appends: int = 0
     journal_replays: int = 0
     resumes: int = 0
-    replayed_mutations: int = 0
     crashes_injected: int = 0
     torn_records_dropped: int = 0
 
@@ -52,7 +51,6 @@ class DurabilityStats:
         self.journal_appends += other.journal_appends
         self.journal_replays += other.journal_replays
         self.resumes += other.resumes
-        self.replayed_mutations += other.replayed_mutations
         self.crashes_injected += other.crashes_injected
         self.torn_records_dropped += other.torn_records_dropped
 
@@ -61,7 +59,6 @@ class DurabilityStats:
             "journal_appends": self.journal_appends,
             "journal_replays": self.journal_replays,
             "resumes": self.resumes,
-            "replayed_mutations": self.replayed_mutations,
             "crashes_injected": self.crashes_injected,
             "torn_records_dropped": self.torn_records_dropped,
         }
@@ -153,11 +150,11 @@ def scan_records(path: str | Path) -> JournalScan:
 class JournalWriter:
     """Append-only, fsync'd writer over the CRC framing.
 
-    Shared by the build journal, the emulator's write-ahead mutation
-    log and the shard workers' attempt logs.  ``append`` is a kill
-    site — ``mid-journal-append`` by default; the serve layer's logs
-    pass ``kill_site="mid-serve-wal-append"`` so schedules can target
-    them independently.  An injected crash there leaves a deliberately
+    Shared by the build journal and the serve layer's on-disk
+    write-attempt log.  ``append`` is a kill site —
+    ``mid-journal-append`` by default; the attempt log passes
+    ``kill_site="mid-serve-wal-append"`` so schedules can target the
+    two independently.  An injected crash there leaves a deliberately
     torn tail (half a line, flushed but not fsync'd) that the reader
     must tolerate.
     """

@@ -4,10 +4,10 @@ A snapshot captures everything a serving emulator accumulated — every
 machine instance's identity, type, parent link and state variables,
 plus the deterministic ID counters — so a fresh process can
 :meth:`~repro.interpreter.emulator.Emulator.restore` it and continue
-exactly where the dead one stopped.  Combined with the write-ahead
-mutation log (:mod:`repro.durability.wal`), restore-then-replay
-reaches the precise pre-crash state; :func:`registry_diff` is the
-equivalence check that proves it.
+exactly where the dead one stopped.  Combined with the serve layer's
+write-attempt log (:class:`~repro.serve.concurrency.AdmittedLog`),
+restore-then-replay reaches the precise pre-crash state;
+:func:`registry_diff` is the equivalence check that proves it.
 
 State values are encoded with a small tagged codec because SM state is
 Python data, not JSON: tuples, sets and non-string dict keys all occur
@@ -133,25 +133,27 @@ def version_dump(version) -> dict:
                        version.placements)
 
 
-def snapshot_registry(registry: Registry, wal_seq: int = 0) -> dict:
-    """A versioned, restorable snapshot of one emulator's registry."""
+def snapshot_registry(registry: Registry) -> dict:
+    """A versioned, restorable snapshot of one emulator's registry
+    (log cursor ``wal_seq`` 0: see :func:`snapshot_version`)."""
     return {
         "format_version": SNAPSHOT_FORMAT_VERSION,
-        "wal_seq": wal_seq,
+        "wal_seq": 0,
         **registry_dump(registry),
     }
 
 
-def snapshot_version(version, wal_seq: int | None = None) -> dict:
+def snapshot_version(version) -> dict:
     """A restorable snapshot of one *pinned* registry version.
 
     Byte-identical to what :func:`snapshot_registry` would have
-    produced at the moment the version was published; ``wal_seq``
-    defaults to the sequence stamped onto the version at publish.
+    produced at the moment the version was published, except that
+    ``wal_seq`` is the write-attempt log cursor stamped onto the
+    version at publish.
     """
     return {
         "format_version": SNAPSHOT_FORMAT_VERSION,
-        "wal_seq": version.wal_seq if wal_seq is None else wal_seq,
+        "wal_seq": version.wal_seq,
         **version_dump(version),
     }
 

@@ -19,9 +19,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from ..durability.journal import DurabilityStats
 from ..durability.snapshot import restore_registry, snapshot_registry
-from ..durability.wal import MutationLog, replay_mutations
 from ..resilience.chaos import kill_point
 from ..resilience.errors import TransientServiceError
 from ..resilience.policy import Deadline
@@ -173,12 +171,6 @@ class Emulator:
         share between emulator instances (closures are stateless, so
         e.g. sharded differential passes compile once per round, not
         once per shard).  Overrides ``compile``.
-    wal:
-        Optional write-ahead mutation log (a
-        :class:`~repro.durability.wal.MutationLog` or a path to one).
-        Every mutating call is logged before its transaction commits,
-        so :meth:`recover` from the latest :meth:`snapshot` replays the
-        emulator to its exact pre-crash state.
     """
 
     def __init__(
@@ -188,7 +180,6 @@ class Emulator:
         telemetry=None,
         compile: bool = True,
         compiled: CompiledModule | None = None,
-        wal: "MutationLog | str | None" = None,
     ):
         self.module = module
         self.notfound_codes = dict(notfound_codes or {})
@@ -222,16 +213,6 @@ class Emulator:
         #: Optional run sink; ``None`` keeps the dispatch hot path
         #: exactly as fast as an un-instrumented emulator.
         self._telemetry = telemetry
-        #: Durability accounting (WAL appends, replayed mutations).
-        self.durability = DurabilityStats()
-        if wal is None:
-            self._wal: MutationLog | None = None
-        elif isinstance(wal, MutationLog):
-            self._wal = wal
-            self.durability = wal.stats
-        else:
-            self._wal = MutationLog(wal, stats=self.durability)
-        self._wal_seq = self._wal.seq if self._wal is not None else 0
 
     # -- public API ------------------------------------------------------------
 
@@ -274,8 +255,6 @@ class Emulator:
         # serve layer's version chain stays monotonic over resets.
         self.registry.version = prior
         self._rebind_registry()
-        if self._wal is not None:
-            self._wal_seq = self._wal.log_reset()
 
     def _rebind_registry(self) -> None:
         self._roview = ReadOnlyView(self.registry)
@@ -290,10 +269,10 @@ class Emulator:
     def snapshot(self) -> dict:
         """A versioned, restorable dump of all live resource state.
 
-        Carries the WAL sequence it covers, so :meth:`recover` knows
-        which logged mutations the snapshot already includes.
-        """
-        return snapshot_registry(self.registry, wal_seq=self._wal_seq)
+        Its ``wal_seq`` is 0: the serve layer logs write attempts and
+        stamps the log cursor a snapshot covers (see
+        :class:`~repro.serve.concurrency.ConcurrentEmulator`)."""
+        return snapshot_registry(self.registry)
 
     def restore(self, snapshot: dict) -> None:
         """Replace all live state with a snapshot's (same module).
@@ -307,54 +286,18 @@ class Emulator:
         self.registry = restore_registry(snapshot, self.module.machines)
         self.registry.version = prior
         self._rebind_registry()
-        self._wal_seq = snapshot.get("wal_seq", 0)
-
-    def recover(self, snapshot: dict, records: list[dict] | None = None
-                ) -> int:
-        """Restore a snapshot, then replay the WAL tail beyond it.
-
-        Returns the number of mutations replayed.  Replay runs with
-        the WAL detached (replayed calls are already in the log); the
-        attached log keeps appending new mutations afterwards.
-        """
-        if records is None:
-            records = self._wal.records if self._wal is not None else []
-        self.restore(snapshot)
-        wal, self._wal = self._wal, None
-        try:
-            replayed = replay_mutations(
-                self, records, after_seq=snapshot.get("wal_seq", 0),
-                stats=self.durability,
-            )
-        finally:
-            self._wal = wal
-        if wal is not None:
-            self._wal_seq = wal.seq
-        if self._telemetry is not None and replayed:
-            self._telemetry.metrics.counter(
-                "durability.replayed_mutations"
-            ).inc(replayed)
-        return replayed
 
     # -- MVCC ------------------------------------------------------------------
-
-    @property
-    def wal_seq(self) -> int:
-        """The sequence of the last WAL record this state includes."""
-        return self._wal_seq
 
     def publish_version(self):
         """Publish (or reuse) the current registry state as an
         immutable :class:`~repro.interpreter.machine.RegistryVersion`.
 
         Must be called with writers excluded — the serve layer does so
-        under its writer mutex after every mutating dispatch.  The
-        returned version is stamped with the WAL cursor it covers, so
-        a snapshot dumped from it recovers correctly.
+        under its writer mutex after every mutating dispatch, and
+        stamps the returned version with the log cursor it covers.
         """
-        version = self.registry.publish()
-        version.wal_seq = self._wal_seq
-        return version
+        return self.registry.publish()
 
     def _version_runtime(self, version):
         """The (view, runtime) pair for pure dispatch at a version.
@@ -597,12 +540,9 @@ class Emulator:
             # clients classify it correctly; the transaction is simply
             # not committed, so state rolls back atomically.
             return ApiResponse.fail(error.code, error.message)
-        # Write-ahead: the mutation is durably logged before it becomes
-        # visible.  A crash in the window between the two (the
-        # ``mid-transition-commit`` kill site) recovers by replaying
-        # the logged intent — never a committed-but-unlogged call.
-        if self._wal is not None:
-            self._wal_seq = self._wal.log(api, params)
+        # A served write was logged before dispatch, so a crash before
+        # the commit (the ``mid-transition-commit`` kill site) recovers
+        # by replaying it — never a committed-but-unlogged call.
         kill_point("mid-transition-commit")
         txn.commit()
         return ApiResponse(True, payload)

@@ -401,11 +401,12 @@ class RegistryVersion(_RegistryReads):
     the last compaction), and consecutive versions share every
     untouched instance structurally.
 
-    ``wal_seq`` is stamped by the owning emulator at publish time so a
-    snapshot dumped from a pinned version carries the correct recovery
-    cursor.  A version references nothing that references it back, so
-    it is freed (with the instances only it still holds) the moment
-    its last reader lets go, without waiting for the cycle collector.
+    ``wal_seq`` is stamped by the serve layer at publish time (the seq
+    of the last logged write attempt the version covers) so a snapshot
+    dumped from a pinned version carries the correct recovery cursor.
+    A version references nothing that references it back, so it is
+    freed (with the instances only it still holds) the moment its last
+    reader lets go, without waiting for the cycle collector.
     """
 
     __slots__ = (

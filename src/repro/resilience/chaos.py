@@ -323,8 +323,8 @@ class ChaosLLM:
 #: The named sites where a :class:`KillSwitch` may end the process.
 #: Each sits at a moment where naive persistence would lose or tear
 #: state: right after a resource's extraction completes, between the
-#: phases of an alignment round, between a transition's WAL append and
-#: its registry commit, and halfway through a journal append itself.
+#: phases of an alignment round, between a transition's logged attempt
+#: and its registry commit, and halfway through a journal append itself.
 KILL_SITES = (
     "post-extraction-of-resource",
     "mid-alignment-round",

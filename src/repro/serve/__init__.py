@@ -5,7 +5,8 @@ production-shaped, multi-tenant service front end:
 
 - :mod:`mvcc` — the published-version chain and reader slots;
 - :mod:`concurrency` — thread-safe dispatch (lock-free pinned reads,
-  serialized writes) and the commit-ordered admitted-request log;
+  serialized writes), the one write-attempt log (in memory or on
+  disk) and the one replay over it;
 - :mod:`validation` — spec-derived request validation;
 - :mod:`admission` — per-tenant token buckets, the bounded admission
   queue and degraded-mode overload shedding;
@@ -15,7 +16,7 @@ production-shaped, multi-tenant service front end:
 - :mod:`loadgen` — the one seeded client loop behind ``repro
   serve-bench``, the geo noise scenario and the fairness drills;
 - :mod:`shard` — crash-tolerant multi-process sharding: the worker
-  supervisor, heartbeat failure detection, WAL-replay shard recovery
+  supervisor, heartbeat failure detection, log-replay shard recovery
   and the sharded front door behind ``serve-bench --shards``;
 - :mod:`allocation` — holistic weighted max-min fair allocation of
   rate/slot/queue budgets across tenants and shards, with per-tenant
@@ -36,7 +37,7 @@ from .allocation import (
     HolisticAllocator,
     TenantAllocation,
 )
-from .concurrency import AdmittedLog, ConcurrentEmulator
+from .concurrency import AdmittedLog, ConcurrentEmulator, replay
 from .deadline import (
     DeadlineError,
     EXPIRED_CODE,
@@ -50,7 +51,6 @@ from .loadgen import LoadGenerator, LoadReport
 from .shard import (
     ShardConfig,
     ShardedFrontDoor,
-    ShardLog,
     ShardSupervisor,
     ShardTenantRouter,
     parse_kill_schedule,
@@ -86,7 +86,6 @@ __all__ = [
     "OVERLOADED",
     "RequestValidator",
     "ShardConfig",
-    "ShardLog",
     "ShardSupervisor",
     "ShardTenantRouter",
     "ShardedFrontDoor",
@@ -100,6 +99,7 @@ __all__ = [
     "VALIDATION_ERROR",
     "current_meta",
     "parse_kill_schedule",
+    "replay",
     "request_meta",
     "shard_for",
     "verify_linearizable",

@@ -1,30 +1,33 @@
-"""Thread-safe concurrent dispatch over one emulator.
+"""Thread-safe concurrent dispatch over one emulator, and the one
+write-attempt log.
 
 :class:`ConcurrentEmulator` lets N worker threads issue mixed
 read/write traffic against a single :class:`~repro.interpreter.Emulator`
-without corrupting the registry, the WAL ordering or the ID allocator.
+without corrupting the registry, the log ordering or the ID allocator.
 
 Reads never take a lock: each read pins the newest published
 :class:`~repro.interpreter.machine.RegistryVersion` — an immutable,
 structurally shared snapshot of the registry — and dispatches against
 it via :meth:`Emulator.invoke_at`, including through the compiled pure
-route.  Writes serialize under a small writer mutex: dispatch, WAL
-append, admitted-log append, then an atomic publish of the new version
-into the :class:`~repro.serve.mvcc.VersionChain`, which also runs
-epoch-based reclamation of superseded versions (a retired version is
-dropped once no reader pins it or anything older).  A writer therefore
-never stalls a reader and a reader never delays a writer; read
-throughput scales with cores until the GIL, not until a lock.
+route.  Writes serialize under a small writer mutex: attempt-log
+append, dispatch, then an atomic publish of the new version into the
+:class:`~repro.serve.mvcc.VersionChain`, which also runs epoch-based
+reclamation of superseded versions (a retired version is dropped once
+no reader pins it or anything older).  A writer therefore never stalls
+a reader and a reader never delays a writer; read throughput scales
+with cores until the GIL, not until a lock.
 
 Further:
 
 - mutating APIs are a total order (the writer mutex);
 - every write *attempt* that reaches the interpreter is appended to
-  the :class:`AdmittedLog` while writers are still excluded, so the
-  log's per-tenant order is exactly the commit order.  Failed
-  attempts are logged too: a failed create still burns a deterministic
-  ID, so serial replay must repeat the failure to reproduce the
-  allocator state byte-for-byte.
+  the :class:`AdmittedLog` before it dispatches, while writers are
+  excluded, so the log's per-tenant order is exactly the commit order.
+  Failed attempts are logged too: a failed create still burns a
+  deterministic ID, so replay must repeat the failure to reproduce the
+  allocator state byte-for-byte;
+- each published version carries the seq of the last attempt it
+  covers, so a snapshot knows where in the log recovery resumes.
 
 The wrapper sits at the *bottom* of the backend stack, directly around
 the emulator.  Chaos and resilience proxies belong outside it: their
@@ -32,10 +35,10 @@ injected faults fire before any pin or mutex and are therefore never
 logged as admitted work — which is exactly right, because an injected
 throttle mutates nothing.
 
-Linearizability falls out: replaying one tenant's admitted log
-serially against a fresh emulator of the same module reproduces the
-concurrent run's final registry exactly (see
-:func:`repro.serve.loadgen.verify_linearizable`) — and each read
+One function, :func:`replay`, re-invokes logged attempts: crash
+recovery (snapshot + log tail) and the linearizability checks (a
+tenant's whole log against a fresh emulator reproduces the concurrent
+run's final registry exactly) both run through it — and each read
 additionally observed exactly one published version, recorded on its
 trace as ``registry.version``.
 """
@@ -47,32 +50,68 @@ import threading
 from pathlib import Path
 from time import perf_counter
 
-from ..durability.snapshot import snapshot_version
+from ..durability.journal import JournalWriter, scan_records
+from ..durability.snapshot import decode_value, encode_value, snapshot_version
 from ..interpreter.errors import ApiResponse
 from ..obs.tracectx import current_request
 from ..resilience.chaos import kill_point
 from .mvcc import ReaderSlots, VersionChain
 
 
-class AdmittedLog:
-    """The serially-ordered record of write attempts the serve path
-    admitted — one entry per attempt, in commit order per tenant."""
+#: The api name a logged registry reset carries.
+RESET = "_Reset"
 
-    def __init__(self):
+
+class AdmittedLog:
+    """The write-attempt log: every write the serve path admitted, in
+    commit order per tenant, failures included.
+
+    One record per attempt, ``{"seq", "tenant", "api", "params"}``,
+    appended *before* dispatch under the tenant's writer mutex.  The
+    interpreter burns a deterministic ID even when a create fails, so a
+    failed attempt must replay (and re-fail) for the allocator counters
+    to come back exactly; :func:`replay` re-invokes the records.
+
+    In memory by default.  Given ``path``, every record is also framed
+    on disk with the build journal's CRC codec, and reopening the file
+    resumes the log: a torn tail (a crash mid-append, the
+    ``mid-serve-wal-append`` kill site) is dropped and counted in
+    ``dropped``, and its seq goes to the next append.
+    """
+
+    def __init__(self, path: "str | Path | None" = None,
+                 fsync: bool = False):
         self._records: list[dict] = []
         self._lock = threading.Lock()
+        self._writer = None
+        self.dropped = 0
+        if path is not None:
+            scan = scan_records(path)
+            self.dropped = scan.dropped
+            self._records = [
+                {**record, "params": decode_value(record["params"])}
+                for record in scan.records
+            ]
+            self._writer = JournalWriter(
+                path, fsync=fsync, kill_site="mid-serve-wal-append"
+            )
+            self._writer.open(truncate_to=scan.valid_bytes)
 
-    def append(self, tenant: str, api: str, params: dict,
-               success: bool) -> int:
+    def append(self, tenant: str, api: str, params: dict | None) -> int:
+        """Log one attempt about to dispatch; returns its seq."""
         with self._lock:
             seq = len(self._records) + 1
-            self._records.append({
+            record = {
                 "seq": seq,
                 "tenant": tenant,
                 "api": api,
                 "params": dict(params or {}),
-                "success": success,
-            })
+            }
+            if self._writer is not None:
+                self._writer.append(
+                    {**record, "params": encode_value(record["params"])}
+                )
+            self._records.append(record)
         return seq
 
     @property
@@ -89,11 +128,41 @@ class AdmittedLog:
 
     def dump_jsonl(self, path: "str | Path") -> Path:
         """Write the log as JSONL (the CI stress job's artifact)."""
-        target = Path(path)
-        with open(target, "w", encoding="utf-8") as handle:
-            for record in self.records:
-                handle.write(json.dumps(record, sort_keys=True) + "\n")
-        return target
+        return dump_jsonl(self.records, path)
+
+    def close(self) -> None:
+        if self._writer is not None:
+            self._writer.close()
+
+
+def dump_jsonl(records: list[dict], path: "str | Path") -> Path:
+    """Write attempt records as JSONL, one sorted-key object a line."""
+    target = Path(path)
+    with open(target, "w", encoding="utf-8") as handle:
+        for record in records:
+            handle.write(json.dumps(record, sort_keys=True) + "\n")
+    return target
+
+
+def replay(emulator, records, after_seq: int = 0) -> int:
+    """Re-invoke the attempt records with ``seq > after_seq``, in order.
+
+    Every replay of the log runs through here: crash recovery, a shard
+    worker's self-check and the linearizability checks.  Responses are
+    not checked: the interpreter is deterministic, so an attempt that
+    failed fails again identically (burning the same IDs) and one that
+    succeeded succeeds again.  Returns the number of records replayed.
+    """
+    replayed = 0
+    for record in records:
+        if record["seq"] <= after_seq:
+            continue
+        if record["api"] == RESET:
+            emulator.reset()
+        else:
+            emulator.invoke(record["api"], record["params"])
+        replayed += 1
+    return replayed
 
 
 #: What :class:`ConcurrentEmulator` needs from the backend it wraps.
@@ -166,10 +235,10 @@ class ConcurrentEmulator:
 
     def reset(self) -> None:
         with self._writer:
+            log = self.log
+            seq = 0 if log is None else log.append(self.tenant, RESET, None)
             self.inner.reset()
-            if self.log is not None:
-                self.log.append(self.tenant, "_Reset", {}, True)
-            self._publish()
+            self._publish(seq)
 
     def snapshot(self) -> dict:
         """A registry snapshot that is never torn.
@@ -177,7 +246,8 @@ class ConcurrentEmulator:
         Pins the newest published version and dumps it without any
         locking — writers keep publishing while the dump runs, and the
         result is byte-identical to what a stop-the-world snapshot at
-        publish time would have produced."""
+        publish time would have produced.  Its ``wal_seq`` is the seq
+        of the last logged attempt the state covers."""
         slot = self._slots.slot()
         version = self._chain.pin(slot)
         try:
@@ -195,16 +265,30 @@ class ConcurrentEmulator:
         returns observes the restored state."""
         with self._writer:
             self.inner.restore(snapshot)
-            self._publish()
+            self._publish(snapshot.get("wal_seq", 0))
 
     def recover(self, snapshot: dict,
                 records: list[dict] | None = None) -> int:
-        """Snapshot restore + WAL tail replay, published atomically:
-        readers observe either the pre-recovery version or the fully
-        recovered one, never a mid-replay state."""
+        """Snapshot restore + replay of the logged attempts after the
+        snapshot's ``wal_seq``, published atomically: readers observe
+        either the pre-recovery version or the fully recovered one,
+        never a mid-replay state.
+
+        ``records`` defaults to this tenant's records in the attached
+        log.  Replay dispatches on the inner emulator, so nothing is
+        logged twice.  Returns the number of attempts replayed."""
+        if records is None:
+            records = (
+                self.log.per_tenant(self.tenant)
+                if self.log is not None else []
+            )
+        seq = snapshot.get("wal_seq", 0)
         with self._writer:
-            replayed = self.inner.recover(snapshot, records)
-            self._publish()
+            self.inner.restore(snapshot)
+            replayed = replay(self.inner, records, after_seq=seq)
+            if records:
+                seq = max(seq, records[-1]["seq"])
+            self._publish(seq)
         return replayed
 
     def place(self, instance_id: str, region: str) -> None:
@@ -214,7 +298,7 @@ class ConcurrentEmulator:
         ``registry.place`` directly)."""
         with self._writer:
             self.inner.registry.place(instance_id, region)
-            self._publish()
+            self._publish(self._chain.current.wal_seq)
 
     # -- dispatch --------------------------------------------------------------
 
@@ -244,25 +328,24 @@ class ConcurrentEmulator:
 
     def write(self, api: str, params: dict | None = None) -> ApiResponse:
         """Dispatch a mutating API (the caller has classified it) under
-        the writer mutex, log the attempt and publish its version."""
+        the writer mutex: log the attempt, dispatch, publish."""
         ctx = current_request()
         waited = perf_counter() if ctx is not None else 0.0
         with self._writer:
             if ctx is not None:
                 ctx.lock_wait_s += perf_counter() - waited
+            log = self.log
+            seq = 0 if log is None else log.append(self.tenant, api, params)
             response = self.inner.invoke(api, params)
-            if self.log is not None:
-                self.log.append(
-                    self.tenant, api, params or {}, response.success
-                )
-            version = self._publish()
+            version = self._publish(seq)
         if ctx is not None:
             ctx.registry_version = version.version
         return response
 
-    def _publish(self):
+    def _publish(self, seq: int):
         """Publish the post-write registry state into the version
-        chain.  Caller holds the writer mutex.
+        chain, stamped with the log cursor ``seq`` it covers.  Caller
+        holds the writer mutex.
 
         ``mid-publish`` is a kill site: a shard worker dying here has
         committed the write but never published its version — recovery
@@ -270,6 +353,9 @@ class ConcurrentEmulator:
         registry anyway."""
         kill_point("mid-publish")
         version = self.inner.publish_version()
+        # A failed write that changed nothing gets the cached version
+        # back; the new cursor still holds for its unchanged state.
+        version.wal_seq = seq
         swung = version is not self._chain.current
         freed = self._chain.publish(version)
         telemetry = self.telemetry

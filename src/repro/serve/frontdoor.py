@@ -34,7 +34,7 @@ from ..obs.tracectx import current_request
 from ..resilience.policy import VirtualClock
 from ..spec import ast
 from .admission import AdmissionController
-from .concurrency import sum_version_stats
+from .concurrency import replay, sum_version_stats
 from .deadline import DeadlineError, envelope_meta, request_meta
 from .tenancy import AuthError, Tenant, TenantRouter
 from .validation import RequestValidator
@@ -43,7 +43,7 @@ from .validation import RequestValidator
 def canonical_snapshot(snapshot: dict) -> str:
     """A registry snapshot as the text linearizability checks compare."""
     snapshot = dict(snapshot)
-    snapshot["wal_seq"] = 0  # replicas never carry a WAL
+    snapshot["wal_seq"] = 0  # replicas carry no log cursor
     # Region placements are assigned by the front door's network gate,
     # which the serial-replay replica runs without; they are routing
     # metadata, not API-visible state, so they are excluded from the
@@ -424,11 +424,7 @@ class FrontDoor:
         mismatches: list[str] = []
         for tenant in self.router.tenants():
             replica = self.emulator_factory()
-            for record in self.admitted.per_tenant(tenant.name):
-                if record["api"] == "_Reset":
-                    replica.reset()
-                else:
-                    replica.invoke(record["api"], record["params"])
+            replay(replica, self.admitted.per_tenant(tenant.name))
             live = canonical_snapshot(tenant.emulator.snapshot())
             replayed = canonical_snapshot(replica.snapshot())
             if live != replayed:

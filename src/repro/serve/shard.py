@@ -18,17 +18,18 @@ tenant -> shard hash) and puts a supervising parent in front:
   frame, one buffered ``os.read`` per reply.  On a host with two or
   more CPUs it runs the parent's threads on one CPU and the workers on
   the rest while the parent is the busier side (:class:`_Placement`).
-- Each :class:`_ShardWorker` owns a private durability directory: a
-  CRC-framed tenant-tagged **write-attempt log** (:class:`ShardLog`,
-  the ``mid-serve-wal-append`` kill site — a crash there leaves a
-  deliberately torn half-line) plus per-tenant snapshot files written
-  atomically every ``snapshot_interval`` writes, each *after* the reply
-  of the write that made it due.  Recovery is snapshot
-  restore + attempt-log tail replay, then a self-check: a full
-  from-scratch replay of every tenant's attempts must be
-  **byte-identical** to the recovered registry, and any divergence is
-  reported to the supervisor and folded into the linearizability
-  verdict.
+- Each :class:`_ShardWorker` owns a private durability directory: the
+  serve layer's **write-attempt log**
+  (:class:`~repro.serve.concurrency.AdmittedLog`) on disk, shared by
+  the worker's tenants (its append is the ``mid-serve-wal-append``
+  kill site — a crash there leaves a deliberately torn half-line),
+  plus per-tenant snapshot files written atomically every
+  ``snapshot_interval`` writes, each *after* the reply of the write
+  that made it due.  Recovery is snapshot restore + replay of the log
+  past the snapshot's cursor, then a self-check: a full from-scratch
+  replay of every tenant's attempts must be **byte-identical** to the
+  recovered registry, and any divergence is reported to the
+  supervisor and folded into the linearizability verdict.
 - :class:`ShardedFrontDoor` keeps the whole single-process serving
   stack (envelope, auth, validation, admission) and swaps only the
   bottom: each tenant's backend is an RPC stub to its owning shard,
@@ -38,14 +39,6 @@ tenant -> shard hash) and puts a supervising parent in front:
   Retry-After hint and a ``ShardUnavailable`` marker (so well-behaved
   clients back off for the failover, not forever), while surviving
   shards keep serving untouched.
-
-Why an *attempt* log and not the emulator's WAL: the interpreter burns
-a deterministic ID even when a create fails (no counter rollback), and
-the WAL records only successful commits — so snapshot+WAL replay
-cannot reproduce allocator state after failed attempts.  Logging every
-attempt *before* dispatch makes one file serve as both the redo log
-(replay re-fails exactly, burning the same IDs) and the per-shard
-admitted log the extended linearizability check replays serially.
 """
 
 from __future__ import annotations
@@ -56,6 +49,7 @@ import os
 import pickle
 import queue
 import select
+import shutil
 import socket
 import struct
 import tempfile
@@ -65,13 +59,7 @@ import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..durability.journal import JournalWriter, scan_records
-from ..durability.snapshot import (
-    decode_value,
-    encode_value,
-    registry_diff,
-    write_snapshot,
-)
+from ..durability.snapshot import registry_diff, write_snapshot
 from ..interpreter.emulator import Emulator
 from ..interpreter.endpoint import (
     EncodedResponse,
@@ -86,7 +74,13 @@ from ..resilience.chaos import (
 )
 from ..resilience.policy import VirtualClock
 from ..spec import parse_module, serialize_module
-from .concurrency import ConcurrentEmulator, sum_version_stats
+from .concurrency import (
+    AdmittedLog,
+    ConcurrentEmulator,
+    dump_jsonl,
+    replay,
+    sum_version_stats,
+)
 from .deadline import current_meta, expired_response
 from .frontdoor import (
     canonical_snapshot,
@@ -261,69 +255,6 @@ class _Pipe:
 
 
 # ---------------------------------------------------------------------------
-# The per-shard write-attempt log
-# ---------------------------------------------------------------------------
-
-
-class ShardLog:
-    """Tenant-tagged log of every write *attempt* one shard admitted.
-
-    Shares the build journal's CRC framing and torn-tail scan.  The
-    append is the ``mid-serve-wal-append`` kill site: an injected
-    worker death there leaves half a line, flushed but not fsync'd,
-    which the recovery scan drops — correctly, because the attempt it
-    described never reached the interpreter.
-    """
-
-    def __init__(self, path: "str | Path", fsync: bool = True):
-        target = Path(path)
-        if target.is_dir():
-            target = target / SHARD_WAL_NAME
-        self.path = target
-        self._writer = JournalWriter(
-            self.path, fsync=fsync, kill_site="mid-serve-wal-append"
-        )
-        scan = scan_records(self.path)
-        self.dropped = scan.dropped
-        self._records = scan.records
-        self._writer.open(truncate_to=scan.valid_bytes)
-        self._seq = self._records[-1]["seq"] if self._records else 0
-
-    @property
-    def seq(self) -> int:
-        return self._seq
-
-    @property
-    def records(self) -> list[dict]:
-        return list(self._records)
-
-    def append(self, tenant: str, api: str, params: dict | None) -> int:
-        """Log one attempt about to dispatch; returns its shard seq."""
-        self._seq += 1
-        record = {
-            "type": "attempt",
-            "seq": self._seq,
-            "tenant": tenant,
-            "api": api,
-            "params": encode_value(params or {}),
-        }
-        self._writer.append(record)
-        self._records.append(record)
-        return self._seq
-
-    def append_reset(self, tenant: str) -> int:
-        """A tenant reset is an attempt too (replay must repeat it)."""
-        self._seq += 1
-        record = {"type": "reset", "seq": self._seq, "tenant": tenant}
-        self._writer.append(record)
-        self._records.append(record)
-        return self._seq
-
-    def close(self) -> None:
-        self._writer.close()
-
-
-# ---------------------------------------------------------------------------
 # Worker side (runs in the child process)
 # ---------------------------------------------------------------------------
 
@@ -350,11 +281,13 @@ class _ShardWorker:
     """One shard's serving state inside its worker process.
 
     The serve loop is single-threaded (one ``poll`` loop serves every
-    pipe of the shard, one request at a time), so per-request work
-    needs no locking here and the attempt log's order is execution
-    order; the :class:`ConcurrentEmulator` wrap is still used for its
-    MVCC publish/pin surface (torn-free snapshots, version accounting,
-    and the ``mid-publish`` kill site).
+    pipe of the shard, one request at a time), so the attempt log's
+    order is execution order.  Each tenant is a
+    :class:`ConcurrentEmulator` over the worker's one on-disk
+    :class:`AdmittedLog`: it logs each write attempt before dispatch
+    and stamps each published version with the log cursor it covers,
+    and its MVCC surface gives torn-free snapshots, version accounting
+    and the ``mid-publish`` kill site.
     """
 
     def __init__(self, config: ShardConfig):
@@ -365,8 +298,8 @@ class _ShardWorker:
         )
         self.data_dir = Path(config.data_dir)
         self.data_dir.mkdir(parents=True, exist_ok=True)
-        self.log = ShardLog(self.data_dir / SHARD_WAL_NAME,
-                            fsync=config.fsync)
+        self.log = AdmittedLog(self.data_dir / SHARD_WAL_NAME,
+                               fsync=config.fsync)
         self._emulators: dict[str, ConcurrentEmulator] = {}
         self._writes_since_snapshot: dict[str, int] = {}
         #: Tenants whose periodic snapshot is due at the next
@@ -387,7 +320,7 @@ class _ShardWorker:
         concurrent = self._emulators.get(name)
         if concurrent is None:
             concurrent = ConcurrentEmulator(
-                self._fresh(), tenant=name, log=None
+                self._fresh(), tenant=name, log=self.log
             )
             self._emulators[name] = concurrent
         return concurrent
@@ -397,23 +330,16 @@ class _ShardWorker:
     def _snapshot_path(self, tenant: str) -> Path:
         return self.data_dir / f"tenant-{_safe_name(tenant)}.snapshot.json"
 
-    def _apply(self, concurrent: ConcurrentEmulator, record: dict) -> None:
-        if record.get("type") == "reset":
-            concurrent.reset()
-        else:
-            concurrent.invoke(record["api"], decode_value(record["params"]))
-
     def _recover(self) -> list[dict]:
         """Snapshot restore + attempt-log tail replay, then prove it.
 
         For every tenant seen in a snapshot file or the attempt log:
-        restore the newest snapshot, replay attempts with
-        ``seq > snapshot.shard_seq`` through the normal dispatch path
-        (failures re-fail identically, burning the same IDs), then run
-        the self-check — a full from-scratch replay of the tenant's
-        attempts must produce a byte-identical registry.  The report
-        rides to the supervisor in the hello message; a non-identical
-        recovery is a linearizability failure.
+        restore the newest snapshot and replay the tenant's attempts
+        past its ``wal_seq`` (failures re-fail identically, burning the
+        same IDs), then run the self-check — a full from-scratch replay
+        of the tenant's attempts must produce a byte-identical
+        registry.  The report rides to the supervisor in the hello
+        message; a non-identical recovery is a linearizability failure.
         """
         records = self.log.records
         snapshots: dict[str, dict] = {}
@@ -424,44 +350,30 @@ class _ShardWorker:
                 continue
             tenant = payload.get("tenant")
             if isinstance(tenant, str):
-                snapshots[tenant] = payload
+                snapshots[tenant] = payload["snapshot"]
         tenants = sorted(
             set(snapshots) | {r["tenant"] for r in records}
         )
         reports = []
         for tenant in tenants:
             concurrent = self._tenant(tenant)
-            payload = snapshots.get(tenant)
-            snap_seq = 0
-            if payload is not None:
-                concurrent.restore(payload["snapshot"])
-                snap_seq = int(payload.get("shard_seq", 0))
-            replayed = 0
-            for record in records:
-                if record["tenant"] != tenant or record["seq"] <= snap_seq:
-                    continue
-                self._apply(concurrent, record)
-                replayed += 1
-            control = ConcurrentEmulator(
-                self._fresh(), tenant=tenant, log=None
-            )
-            for record in records:
-                if record["tenant"] == tenant:
-                    self._apply(control, record)
+            mine = [r for r in records if r["tenant"] == tenant]
+            snapshot = snapshots.get(tenant) or concurrent.snapshot()
+            replayed = concurrent.recover(snapshot, mine)
+            control = self._fresh()
+            replay(control, mine)
             want = control.snapshot()
-            got = concurrent.snapshot()
+            got = {**concurrent.snapshot(), "wal_seq": 0}
             identical = (
                 canonical_snapshot(want) == canonical_snapshot(got)
             )
             reports.append({
                 "tenant": tenant,
-                "snapshot_seq": snap_seq,
+                "snapshot_seq": snapshot["wal_seq"],
                 "replayed": replayed,
                 "torn_dropped": self.log.dropped,
                 "identical": identical,
-                "diff": registry_diff(
-                    {**want, "wal_seq": 0}, {**got, "wal_seq": 0}
-                )[:5],
+                "diff": registry_diff(want, got)[:5],
             })
         return reports
 
@@ -473,15 +385,12 @@ class _ShardWorker:
         if concurrent.read_only(api):
             return concurrent.read(api, params)
         self.writes += 1
-        self.log.append(tenant, api, params)
         response = concurrent.write(api, params)
         self._count_write(tenant)
         return response
 
     def reset(self, tenant: str) -> None:
-        concurrent = self._tenant(tenant)
-        self.log.append_reset(tenant)
-        concurrent.reset()
+        self._tenant(tenant).reset()
         self._count_write(tenant)
 
     def _count_write(self, tenant: str) -> None:
@@ -507,7 +416,6 @@ class _ShardWorker:
         write_snapshot(self._snapshot_path(tenant), {
             "tenant": tenant,
             "shard": self.config.index,
-            "shard_seq": self.log.seq,
             "snapshot": self._emulators[tenant].snapshot(),
         }, fsync=self.config.fsync)
 
@@ -515,19 +423,6 @@ class _ShardWorker:
 
     def snapshot(self, tenant: str) -> dict:
         return self._tenant(tenant).snapshot()
-
-    def admitted(self) -> list[dict]:
-        return [
-            {
-                "type": record.get("type", "attempt"),
-                "seq": record["seq"],
-                "shard": self.config.index,
-                "tenant": record["tenant"],
-                "api": record.get("api", "_Reset"),
-                "params": decode_value(record.get("params", {})),
-            }
-            for record in self.log.records
-        ]
 
     def stats(self) -> dict:
         version_stats = [
@@ -541,7 +436,7 @@ class _ShardWorker:
             "cpus": sorted(_affinity(0)),
             "requests": self.requests,
             "writes": self.writes,
-            "admitted": self.log.seq,
+            "admitted": len(self.log),
             "tenants": sorted(self._emulators),
             "version_stats": version_stats,
         }
@@ -561,7 +456,7 @@ def _serve(worker: _ShardWorker, message: dict) -> dict:
         remaining = message.get("deadline_remaining")
         if remaining is not None and remaining <= 0:
             # The budget died in transit: answer honestly before the
-            # WAL or the emulator spend any work.
+            # log or the emulator spend any work.
             response = expired_response("shard")
         else:
             response = worker.invoke(
@@ -584,7 +479,7 @@ def _serve(worker: _ShardWorker, message: dict) -> dict:
             "snapshot": worker.snapshot(message["tenant"]),
         }
     if op == "admitted":
-        return {"id": mid, "ok": True, "records": worker.admitted()}
+        return {"id": mid, "ok": True, "records": worker.log.records}
     if op == "stats":
         return {"id": mid, "ok": True, **worker.stats()}
     if op == "recovery":
@@ -987,6 +882,9 @@ class ShardSupervisor:
         self.max_misses = max_misses
         self.auto_restart = auto_restart
         self._ctx = multiprocessing.get_context("spawn")
+        #: A directory this supervisor made is removed by :meth:`close`;
+        #: a caller's ``data_dir`` is kept.
+        self._owns_dir = data_dir is None
         if data_dir is None:
             data_dir = tempfile.mkdtemp(prefix="repro-shards-")
         self.data_dir = Path(data_dir)
@@ -1510,7 +1408,8 @@ class ShardSupervisor:
         (taking every pipe of a shard waits for the requests holding
         them), flush final snapshots, and reap every worker.  The
         closed pipes go back into the pools, so later requests return
-        ``None`` at once."""
+        ``None`` at once.  The data directory goes too when the
+        supervisor made it (no ``data_dir`` was passed)."""
         self._closed = True
         self._unplace()
         if self._hb_stop is not None:
@@ -1536,6 +1435,8 @@ class ShardSupervisor:
             if handle.process.is_alive():
                 handle.process.terminate()
                 handle.process.join(timeout=5)
+        if self._owns_dir:
+            shutil.rmtree(self.data_dir, ignore_errors=True)
 
     def _unplace(self) -> None:
         """Leave the process's placement (once)."""
@@ -1575,7 +1476,6 @@ class _ShardBackend:
         self.tenant = tenant
         self.shard = supervisor.shard_for(tenant)
         self._probe = probe  # local emulator, classification only
-        self.log = None
 
     # -- classification (local, no RPC) ------------------------------------
 
@@ -1777,19 +1677,12 @@ class ShardedFrontDoor(FrontDoor):
         byte-for-byte — and every worker recovery (every generation)
         must have passed its byte-identity self-check."""
         mismatches = list(self.supervisor.recovery_failures)
-        records = self.supervisor.admitted_records()
         by_tenant: dict[str, list[dict]] = {}
-        for record in records:
+        for record in self.supervisor.admitted_records():
             by_tenant.setdefault(record["tenant"], []).append(record)
         for tenant in sorted(by_tenant):
             replica = self.emulator_factory()
-            for record in sorted(
-                by_tenant[tenant], key=lambda r: r["seq"]
-            ):
-                if record["type"] == "reset":
-                    replica.reset()
-                else:
-                    replica.invoke(record["api"], record["params"])
+            replay(replica, by_tenant[tenant])
             shard = self.supervisor.shard_for(tenant)
             live = self.supervisor.snapshot(shard, tenant)
             if live is None:
@@ -1857,11 +1750,7 @@ class _MergedAdmitted:
         )
 
     def dump_jsonl(self, path: "str | Path") -> Path:
-        target = Path(path)
-        with open(target, "w", encoding="utf-8") as handle:
-            for record in self.records:
-                handle.write(json.dumps(record, sort_keys=True) + "\n")
-        return target
+        return dump_jsonl(self.records, path)
 
 
 # ---------------------------------------------------------------------------

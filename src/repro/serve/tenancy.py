@@ -55,10 +55,6 @@ class Tenant:
     backend: object           # the full stack the endpoint dispatches to
     endpoint: JsonEndpoint
 
-    @property
-    def log(self) -> AdmittedLog | None:
-        return self.emulator.log
-
 
 class TenantRouter:
     """Resolves API keys to isolated per-tenant backends.

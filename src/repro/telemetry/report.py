@@ -579,8 +579,6 @@ def render_trace_report(data: TraceData, tree: bool = True) -> str:
             f"{durability.get('journal_appends', 0)} journal append(s), "
             f"{durability.get('journal_replays', 0)} replayed, "
             f"{durability.get('resumes', 0)} resume(s), "
-            f"{durability.get('replayed_mutations', 0)} mutation(s) "
-            "replayed, "
             f"{durability.get('crashes_injected', 0)} crash(es) injected, "
             f"{durability.get('torn_records_dropped', 0)} torn record(s) "
             "dropped"

@@ -1,6 +1,6 @@
 """Tests for the durability layer: atomic writes, the CRC-framed build
 journal, kill-point chaos, crash/resume byte-identity, and emulator
-snapshot/restore with write-ahead mutation logging."""
+snapshot/restore with recovery from the on-disk write-attempt log."""
 
 import json
 import shutil
@@ -17,7 +17,6 @@ from repro.durability import (
     DurabilityError,
     DurabilityStats,
     JOURNAL_NAME,
-    MutationLog,
     read_snapshot,
     registry_diff,
     registry_dump,
@@ -29,6 +28,8 @@ from repro.durability import (
 from repro.durability.journal import decode_line, encode_record
 from repro.durability.snapshot import decode_value, encode_value
 from repro.interpreter import Emulator
+from repro.serve import AdmittedLog, ConcurrentEmulator
+from repro.serve.frontdoor import canonical_snapshot
 from repro.resilience.chaos import (
     clear_kill_switch,
     install_kill_switch,
@@ -402,43 +403,58 @@ class TestSnapshotRestore:
         assert again.data["id"] == "public_ip-00000002"
 
 
+def logged(path):
+    """A toy emulator serving through an on-disk write-attempt log."""
+    module = parse_module(PUBLIC_IP_MODULE, service="toy")
+    log = AdmittedLog(path)
+    return log, ConcurrentEmulator(Emulator(module), log=log)
+
+
 class TestMutationLog:
+    """Recovery from the on-disk write-attempt log: a snapshot plus a
+    replay of the attempts past its cursor gives the pre-crash state."""
+
     def test_recover_replays_to_pre_crash_state(self, tmp_path):
-        module, emulator = toy_emulator(wal=tmp_path)
+        path = tmp_path / "attempts.log"
+        log, emulator = logged(path)
         snapshot = emulator.snapshot()  # checkpoint before any traffic
         drive(emulator)
         expected = registry_dump(emulator.registry)
+        log.close()
 
-        # "Reboot": fresh process, same WAL directory, old snapshot.
-        __, revived = toy_emulator(wal=tmp_path)
-        replayed = revived.recover(snapshot)
-        assert replayed == 3
-        assert revived.durability.replayed_mutations == 3
+        # "Reboot": fresh process, same log file, old snapshot.
+        __, revived = logged(path)
+        assert revived.recover(snapshot) == 3
         assert registry_diff(expected, registry_dump(revived.registry)) == []
 
     def test_snapshot_seq_skips_already_covered_mutations(self, tmp_path):
-        module, emulator = toy_emulator(wal=tmp_path)
+        path = tmp_path / "attempts.log"
+        log, emulator = logged(path)
         drive(emulator)
         snapshot = emulator.snapshot()  # taken *after* the traffic
+        assert snapshot["wal_seq"] == 3
         emulator.invoke("CreatePublicIP", {"region": "us-west"})
         expected = registry_dump(emulator.registry)
+        log.close()
 
-        __, revived = toy_emulator(wal=tmp_path)
+        __, revived = logged(path)
         assert revived.recover(snapshot) == 1  # only the post-snapshot call
         assert registry_diff(expected, registry_dump(revived.registry)) == []
 
     def test_mid_transition_commit_crash_is_redone_from_wal(self, tmp_path):
-        module, emulator = toy_emulator(wal=tmp_path)
+        path = tmp_path / "attempts.log"
+        log, emulator = logged(path)
         snapshot = emulator.snapshot()
         emulator.invoke("CreatePublicIP", {"region": "us-east"})
         install_kill_switch({"mid-transition-commit": 1})
         with pytest.raises(SimulatedCrash):
             emulator.invoke("CreateNIC", {"zone": "us-east"})
         clear_kill_switch()
+        log.close()
 
-        # The intent was logged ahead of the commit, so recovery redoes
+        # The attempt was logged before dispatch, so recovery redoes
         # it: the revived emulator matches a run where the call landed.
-        __, revived = toy_emulator(wal=tmp_path)
+        __, revived = logged(path)
         revived.recover(snapshot)
         __, control = toy_emulator()
         control.invoke("CreatePublicIP", {"region": "us-east"})
@@ -448,30 +464,68 @@ class TestMutationLog:
         ) == []
 
     def test_reset_is_logged_and_replayed(self, tmp_path):
-        module, emulator = toy_emulator(wal=tmp_path)
+        path = tmp_path / "attempts.log"
+        log, emulator = logged(path)
         snapshot = emulator.snapshot()
         drive(emulator)
         emulator.reset()
         emulator.invoke("CreatePublicIP", {"region": "us-west"})
         expected = registry_dump(emulator.registry)
+        log.close()
 
-        __, revived = toy_emulator(wal=tmp_path)
+        __, revived = logged(path)
         revived.recover(snapshot)
         assert registry_diff(expected, registry_dump(revived.registry)) == []
 
     def test_torn_wal_tail_is_dropped(self, tmp_path):
-        module, emulator = toy_emulator(wal=tmp_path)
+        path = tmp_path / "attempts.log"
+        log, emulator = logged(path)
         drive(emulator)
-        wal_path = emulator._wal.path
-        emulator._wal.close()
-        data = wal_path.read_bytes()
-        wal_path.write_bytes(data[:-7])  # tear the last record
-
-        stats = DurabilityStats()
-        log = MutationLog(tmp_path, stats=stats)
-        assert len(log.records) == 2
-        assert stats.torn_records_dropped == 1
         log.close()
+        data = path.read_bytes()
+        path.write_bytes(data[:-7])  # tear the last record
+
+        reopened = AdmittedLog(path)
+        assert len(reopened) == 2
+        assert reopened.dropped == 1
+        reopened.close()
+
+    def test_failed_create_keeps_its_id_across_recovery(self, tmp_path):
+        """A failed create burns an ID, so it must replay too: the
+        subnet the client was told about survives recovery under the
+        same ID, and the allocator does not hand that ID out again."""
+        build = build_learned_emulator("ec2", seed=7, align=False)
+        path = tmp_path / "attempts.log"
+        log = AdmittedLog(path)
+        emulator = ConcurrentEmulator(build.make_backend(), log=log)
+        snapshot = emulator.snapshot()
+        vpc = emulator.invoke("CreateVpc", {"CidrBlock": "10.0.0.0/16"})
+        vpc_id = vpc.data["id"]
+        failed = emulator.invoke(
+            "CreateSubnet", {"VpcId": vpc_id, "CidrBlock": "10.0.0.0/29"}
+        )
+        assert failed.error_code == "InvalidSubnet.Range"
+        created = emulator.invoke(
+            "CreateSubnet", {"VpcId": vpc_id, "CidrBlock": "10.0.1.0/24"}
+        )
+        assert created.data["id"] == "subnet-00000002"
+        log.close()
+
+        reopened = AdmittedLog(path)
+        revived = ConcurrentEmulator(build.make_backend(), log=reopened)
+        assert revived.recover(snapshot) == 3
+        assert canonical_snapshot(revived.snapshot()) == (
+            canonical_snapshot(emulator.snapshot())
+        )
+        described = revived.invoke(
+            "DescribeSubnets", {"SubnetId": "subnet-00000002"}
+        )
+        assert described.success, described.error_code
+        following = revived.invoke(
+            "CreateSubnet", {"VpcId": vpc_id, "CidrBlock": "10.0.2.0/24"}
+        )
+        assert following.data["id"] == "subnet-00000003"
+        reopened.close()
 
 
 # ---------------------------------------------------------------------------
@@ -490,8 +544,6 @@ class TestServeLayerKillSites:
         assert "mid-serve-wal-append" in KILL_SITES
 
     def _concurrent(self):
-        from repro.serve import ConcurrentEmulator
-
         module = parse_module(PUBLIC_IP_MODULE, service="toy")
         inner = Emulator(module)
         return inner, ConcurrentEmulator(inner, tenant="t", log=None)

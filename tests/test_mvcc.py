@@ -591,7 +591,9 @@ class TestMvccSoak:
             while not stop.is_set():
                 for tenant in front.router.tenants():
                     snap = tenant.emulator.snapshot()
-                    replica = build.make_backend()
+                    # The serve layer's restore carries the snapshot's
+                    # log cursor, so the round trip is byte-exact.
+                    replica = ConcurrentEmulator(build.make_backend())
                     replica.restore(snap)
                     if (_canonical(replica.snapshot())
                             != _canonical(snap)):

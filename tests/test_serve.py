@@ -471,9 +471,13 @@ class TestAdmission:
 class TestAdmittedLog:
     def test_commit_order_and_dump(self, tmp_path):
         log = AdmittedLog()
-        log.append("a", "CreateVpc", {"CidrBlock": "10.0.0.0/16"}, True)
-        log.append("b", "CreateVpc", {}, False)
+        assert log.append("a", "CreateVpc", {"CidrBlock": "10.0.0.0/16"}) == 1
+        assert log.append("b", "CreateVpc", None) == 2
         assert [r["seq"] for r in log.records] == [1, 2]
+        # One record shape, failures and successes alike.
+        assert log.records[1] == {
+            "seq": 2, "tenant": "b", "api": "CreateVpc", "params": {},
+        }
         assert log.per_tenant("a")[0]["api"] == "CreateVpc"
         target = log.dump_jsonl(tmp_path / "admitted.jsonl")
         lines = target.read_text().splitlines()

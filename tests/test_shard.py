@@ -28,10 +28,10 @@ from repro.resilience.chaos import (
     install_kill_switch,
 )
 from repro.serve import (
+    AdmittedLog,
     FrontDoor,
     LoadGenerator,
     ShardedFrontDoor,
-    ShardLog,
     ShardSupervisor,
     parse_kill_schedule,
     shard_for,
@@ -519,37 +519,44 @@ class TestParseKillSchedule:
 
 
 class TestShardLog:
+    """A worker's on-disk write-attempt log across worker restarts."""
+
     def test_roundtrip_and_reopen(self, tmp_path):
-        log = ShardLog(tmp_path)
+        path = tmp_path / "shard.wal"
+        log = AdmittedLog(path)
         assert log.append("a", "CreatePublicIP", {"region": "r"}) == 1
-        assert log.append_reset("a") == 2
+        assert log.append("a", "_Reset", None) == 2
         assert log.append("b", "CreateNIC", {"zone": "z"}) == 3
         log.close()
 
-        reopened = ShardLog(tmp_path)
+        reopened = AdmittedLog(path)
         assert reopened.dropped == 0
-        assert reopened.seq == 3
-        kinds = [r["type"] for r in reopened.records]
-        assert kinds == ["attempt", "reset", "attempt"]
-        assert reopened.records[0]["tenant"] == "a"
+        assert len(reopened) == 3
+        assert [r["api"] for r in reopened.records] == [
+            "CreatePublicIP", "_Reset", "CreateNIC",
+        ]
+        assert reopened.records[0] == {
+            "seq": 1, "tenant": "a", "api": "CreatePublicIP",
+            "params": {"region": "r"},
+        }
+        # The seqs continue across the reopen.
         assert reopened.append("c", "CreateNIC", {"zone": "z"}) == 4
         reopened.close()
 
     def test_torn_append_dropped_on_reopen(self, tmp_path):
-        log = ShardLog(tmp_path)
+        path = tmp_path / "shard.wal"
+        log = AdmittedLog(path)
         log.append("t", "CreatePublicIP", {"region": "r"})
         install_kill_switch({"mid-serve-wal-append": 1})
         with pytest.raises(SimulatedCrash):
             log.append("t", "CreatePublicIP", {"region": "r"})
         clear_kill_switch()
         # The file really holds a torn half-line, not a clean tail.
-        raw = (tmp_path / "shard.wal").read_bytes()
-        assert not raw.endswith(b"\n")
+        assert not path.read_bytes().endswith(b"\n")
 
-        recovered = ShardLog(tmp_path)
+        recovered = AdmittedLog(path)
         assert recovered.dropped == 1
-        assert recovered.seq == 1
-        assert len(recovered.records) == 1
+        assert len(recovered) == 1
         # The next append reuses the seq the torn attempt never earned.
         assert recovered.append("t", "CreatePublicIP", {"region": "r"}) == 2
         recovered.close()
@@ -610,7 +617,7 @@ class TestShardWorkerSnapshots:
         # The crash: the second write's checkpoint never runs.
         worker.log.close()
         on_disk = json.loads(worker._snapshot_path("t").read_text())
-        assert on_disk["shard_seq"] == 1
+        assert on_disk["snapshot"]["wal_seq"] == 1
 
         recovered = _ShardWorker(config)
         [report] = recovered.recovery
@@ -644,22 +651,68 @@ class TestSupervisor:
             # The read was dispatched but never logged as an attempt.
             assert stats[shard]["requests"] == 2
 
-    def test_kill_then_tick_restarts(self, tmp_path):
+    def test_kill_then_tick_restarts(self, build, tmp_path):
+        """A killed worker comes back on the next tick with the state
+        it had.  Two inputs: a plain create on the toy module, and on
+        ec2 a create that fails (burning an ID) before one that
+        succeeds — the recovered worker keeps ``subnet-00000002`` and
+        hands out ``subnet-00000003`` next."""
+        vpc = {"VpcId": "vpc-00000001"}
+        inputs = [
+            (toy_module(), {},
+             [("CreatePublicIP", {"region": "us-east"})],
+             ("CreatePublicIP", {"region": "us-east"}),
+             "public_ip-00000002"),
+            (build.module, build.make_backend().notfound_codes,
+             [("CreateVpc", {"CidrBlock": "10.0.0.0/16"}),
+              ("CreateSubnet", {**vpc, "CidrBlock": "10.0.0.0/29"}),
+              ("CreateSubnet", {**vpc, "CidrBlock": "10.0.1.0/24"})],
+             ("CreateSubnet", {**vpc, "CidrBlock": "10.0.2.0/24"}),
+             "subnet-00000003"),
+        ]
+        for index, (module, codes, calls, then, next_id) in enumerate(
+            inputs
+        ):
+            with ShardSupervisor(
+                module, notfound_codes=codes, shards=1,
+                data_dir=tmp_path / str(index),
+            ) as supervisor:
+                for api, params in calls:
+                    assert invoke(supervisor, 0, api, params)["ok"]
+                before = supervisor.snapshot(0, "t")
+                supervisor.kill(0)
+                assert not supervisor.alive(0)
+                seen = supervisor.tick()
+                assert seen["restarted"] == 1
+                assert supervisor.generation(0) == 1
+                assert supervisor.restarts == 1
+                assert canonical_snapshot(supervisor.snapshot(0, "t")) == (
+                    canonical_snapshot(before)
+                )
+                reply = invoke(supervisor, 0, *then)
+                assert reply["success"]
+                assert json.loads(reply["text"])["id"] == next_id
+                assert len(supervisor.restart_log) == 1
+                entry = supervisor.restart_log[0]
+                assert entry["shard"] == 0 and entry["generation"] == 1
+                assert entry["recovery_seconds"] > 0.0
+                assert supervisor.recovery_failures == []
+
+    def test_close_removes_only_its_own_data_dir(self, tmp_path):
+        """With no ``data_dir`` the supervisor makes a temp directory
+        and removes it on close; a caller's directory survives."""
+        supervisor = ShardSupervisor(toy_module(), shards=1)
+        made = supervisor.data_dir
+        assert create_ip(supervisor, 0)["success"]
+        assert made.is_dir()
+        supervisor.close()
+        assert not made.exists()
+
         with ShardSupervisor(
             toy_module(), shards=1, data_dir=tmp_path
         ) as supervisor:
-            create_ip(supervisor, 0)
-            supervisor.kill(0)
-            assert not supervisor.alive(0)
-            seen = supervisor.tick()
-            assert seen["restarted"] == 1
-            assert supervisor.generation(0) == 1
-            assert supervisor.restarts == 1
             assert create_ip(supervisor, 0)["success"]
-            assert len(supervisor.restart_log) == 1
-            entry = supervisor.restart_log[0]
-            assert entry["shard"] == 0 and entry["generation"] == 1
-            assert entry["recovery_seconds"] > 0.0
+        assert (tmp_path / "shard-0" / "shard.wal").is_file()
 
     def test_kill_without_restart_sheds(self, tmp_path):
         with ShardSupervisor(
