@@ -27,7 +27,7 @@ import threading
 import time
 
 from repro.serve import ShardedFrontDoor
-from repro.serve.frontdoor import canonical_snapshot
+from repro.serve.concurrency import canonical_snapshot
 
 #: The surviving shard must keep at least this fraction of its
 #: pre-kill read throughput while its neighbor is being repaired.

@@ -35,8 +35,16 @@ Quickstart::
     vpc = emulator.invoke("CreateVpc", {"CidrBlock": "10.0.0.0/16"})
 """
 
-from .core import build_learned_emulator, LearnedEmulatorBuild
-
 __version__ = "1.0.0"
 
 __all__ = ["build_learned_emulator", "LearnedEmulatorBuild", "__version__"]
+
+
+def __getattr__(name: str):
+    # The build pipeline loads on first use, so a process that only
+    # serves a learned spec (a shard worker) never imports it.
+    if name in ("build_learned_emulator", "LearnedEmulatorBuild"):
+        from . import core
+
+        return getattr(core, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -25,10 +25,10 @@ from ..resilience.chaos import (
     ChaosLLM,
     ChaosProfile,
     ChaosProxy,
-    kill_point,
     resolve_profile,
 )
 from ..resilience.errors import ResilienceError
+from ..resilience.killswitch import kill_point
 from ..resilience.policy import RetryPolicy
 from ..resilience.resilient import ResilientBackend, ResilientLLM
 from ..resilience.stats import ResilienceStats

@@ -31,8 +31,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .docs import CATALOGS
-
 AWS_SERVICES = ("ec2", "network_firewall", "dynamodb")
 
 
@@ -618,6 +616,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Imported here, like every command's dependencies: spawn re-runs a
+    # console script's module in each shard worker, and a worker must
+    # not load the documentation catalogs.
+    from .docs import CATALOGS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Learned cloud emulators (HotNets '25 reproduction)",

@@ -9,6 +9,7 @@ loop against the cloud.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from ..alignment.loop import align_module, AlignmentReport
 from ..cloud import ReferenceCloud
@@ -16,6 +17,7 @@ from ..docs import build_catalog, render_docs, wrangle
 from ..docs.model import ServiceDoc
 from ..durability.journal import as_journal, DurabilityStats
 from ..extraction.pipeline import ExtractionOutcome, run_extraction
+from ..interpreter.compiler import compile_module, CompiledModule
 from ..interpreter.emulator import Emulator
 from ..llm.client import make_llm, SimulatedLLM
 from ..resilience.chaos import ChaosProfile, resolve_profile
@@ -40,6 +42,13 @@ class LearnedEmulatorBuild:
     @property
     def module(self):
         return self.extraction.module
+
+    @cached_property
+    def compiled(self) -> CompiledModule:
+        """The module lowered once, shared by every compiled backend
+        (the closures are stateless; each backend has its own
+        registry)."""
+        return compile_module(self.module)
 
     @property
     def api_count(self) -> int:
@@ -66,7 +75,8 @@ class LearnedEmulatorBuild:
         use_compile = self.compile if compile is None else compile
         return Emulator(self.module,
                         notfound_codes=self.extraction.notfound_codes,
-                        telemetry=telemetry, compile=use_compile)
+                        telemetry=telemetry, compile=use_compile,
+                        compiled=self.compiled if use_compile else None)
 
 
 def build_learned_emulator(

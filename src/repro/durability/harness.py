@@ -15,7 +15,7 @@ import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..resilience.chaos import (
+from ..resilience.killswitch import (
     SimulatedCrash,
     clear_kill_switch,
     install_kill_switch,

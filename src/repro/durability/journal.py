@@ -27,7 +27,7 @@ import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..resilience.chaos import kill_point, SimulatedCrash
+from ..resilience.killswitch import kill_point, SimulatedCrash
 
 JOURNAL_FORMAT_VERSION = 1
 JOURNAL_NAME = "build.journal"

@@ -19,10 +19,13 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from ..interpreter.machine import InstanceMap, MachineInstance, Registry
 from .atomic import atomic_write
 from .journal import DurabilityError
+
+if TYPE_CHECKING:
+    from ..interpreter.machine import InstanceMap, Registry
 
 SNAPSHOT_FORMAT_VERSION = 1
 
@@ -165,6 +168,9 @@ def restore_registry(snapshot: dict, machines: dict) -> Registry:
     module; the snapshot references them by SM name and a restore into
     a module that lacks one of those SMs is refused.
     """
+    # Imported here: the interpreter imports this module at load time.
+    from ..interpreter.machine import InstanceMap, MachineInstance, Registry
+
     version = snapshot.get("format_version")
     if version != SNAPSHOT_FORMAT_VERSION:
         raise DurabilityError(

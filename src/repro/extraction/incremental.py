@@ -32,7 +32,7 @@ from ..llm.synthesis import (
     GenerationReport,
     HelperRequirement,
 )
-from ..resilience.chaos import kill_point
+from ..resilience.killswitch import kill_point
 from ..resilience.errors import ResilienceError
 from ..resilience.stats import ResilienceStats
 from ..spec import ast

@@ -22,10 +22,10 @@ from ..resilience.chaos import (
     ChaosEngine,
     ChaosLLM,
     ChaosProfile,
-    kill_point,
     resolve_profile,
 )
 from ..resilience.errors import ResilienceError
+from ..resilience.killswitch import kill_point
 from ..resilience.policy import RetryPolicy
 from ..resilience.resilient import ResilientLLM
 from ..resilience.stats import ResilienceStats

@@ -20,8 +20,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 from ..durability.snapshot import restore_registry, snapshot_registry
-from ..resilience.chaos import kill_point
 from ..resilience.errors import TransientServiceError
+from ..resilience.killswitch import kill_point
 from ..resilience.policy import Deadline
 from ..spec import ast
 from .compiler import compile_module, CompiledModule, Runtime

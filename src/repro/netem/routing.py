@@ -32,8 +32,7 @@ from __future__ import annotations
 import threading
 
 from ..interpreter.errors import ApiResponse
-from ..obs.tracectx import current_request
-from ..serve.deadline import current_meta, expired_response
+from ..serve.deadline import current_meta, current_request, expired_response
 from .engine import NetEm
 from .placement import Placer
 from .replication import ReplicaSet

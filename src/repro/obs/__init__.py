@@ -25,6 +25,7 @@ discover it through ``telemetry.obs`` and the propagated
 :func:`current_request` context, so un-instrumented runs pay nothing.
 """
 
+from ..serve.deadline import current_request
 from .dashboard import record_frames, render_frame
 from .drift import DriftMonitor
 from .plane import INFRA_CODES, ObsPlane
@@ -38,7 +39,6 @@ from .slo import (
     SLOStatus,
 )
 from .tracectx import (
-    current_request,
     RequestContext,
     TailSampler,
     TraceIdAllocator,

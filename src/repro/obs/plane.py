@@ -29,10 +29,10 @@ dropped); SLO evaluation and dashboards run at query time.
 
 from __future__ import annotations
 
+from ..serve.deadline import CURRENT_REQUEST
 from ..telemetry.spans import Span
 from .slo import SLOEngine, SLOSpec
 from .tracectx import (
-    CURRENT_REQUEST,
     RequestContext,
     TailSampler,
     TraceIdAllocator,

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 import zlib
-from contextvars import ContextVar
 
 
 class RequestContext:
@@ -71,17 +70,6 @@ class RequestContext:
     @property
     def rtt_total_s(self) -> float:
         return sum(hop["rtt_s"] for hop in self.hops)
-
-
-#: The in-flight request on the current logical thread of control.
-CURRENT_REQUEST: ContextVar[RequestContext | None] = ContextVar(
-    "repro_obs_request", default=None
-)
-
-
-def current_request() -> RequestContext | None:
-    """The propagated context of the in-flight request, if any."""
-    return CURRENT_REQUEST.get()
 
 
 class TraceIdAllocator:

@@ -11,7 +11,9 @@ package provides the machinery that keeps them honest about it:
   :mod:`~repro.resilience.breaker` — exponential backoff with seeded
   full jitter, per-call deadlines, per-resource circuit breakers;
 - :mod:`~repro.resilience.stats` — accounting, so degradation is
-  visible in every pipeline report rather than silent.
+  visible in every pipeline report rather than silent;
+- :mod:`~repro.resilience.killswitch` — named kill points and the
+  seeded crash schedule that fires them (injected process death).
 
 The chaos/resilient wrappers are exposed lazily (they import the
 interpreter's response type); the pure machinery imports eagerly.

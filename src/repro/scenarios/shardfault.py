@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import time
 
-from ..serve.frontdoor import canonical_snapshot
+from ..serve.concurrency import canonical_snapshot
 from ..serve.shard import ShardedFrontDoor
 from ..telemetry import Telemetry
 from .geo import probe_workload, send

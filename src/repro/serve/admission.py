@@ -44,10 +44,9 @@ import threading
 from dataclasses import dataclass
 
 from ..interpreter.errors import ApiResponse
-from ..obs.tracectx import current_request
 from ..resilience.policy import VirtualClock
 from ..resilience.ratelimit import TokenBucket
-from .deadline import current_meta, expired_response
+from .deadline import current_meta, current_request, expired_response
 
 #: Shed codes (both are transient: well-behaved clients back off).
 THROTTLED = "RequestLimitExceeded"

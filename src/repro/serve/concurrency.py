@@ -53,8 +53,8 @@ from time import perf_counter
 from ..durability.journal import JournalWriter, scan_records
 from ..durability.snapshot import decode_value, encode_value, snapshot_version
 from ..interpreter.errors import ApiResponse
-from ..obs.tracectx import current_request
-from ..resilience.chaos import kill_point
+from ..resilience.killswitch import kill_point
+from .deadline import current_request
 from .mvcc import ReaderSlots, VersionChain
 
 
@@ -163,6 +163,18 @@ def replay(emulator, records, after_seq: int = 0) -> int:
             emulator.invoke(record["api"], record["params"])
         replayed += 1
     return replayed
+
+
+def canonical_snapshot(snapshot: dict) -> str:
+    """A registry snapshot as the text linearizability checks compare."""
+    snapshot = dict(snapshot)
+    snapshot["wal_seq"] = 0  # replicas carry no log cursor
+    # Region placements are assigned by the front door's network gate,
+    # which the serial-replay replica runs without; they are routing
+    # metadata, not API-visible state, so they are excluded from the
+    # linearizability comparison.
+    snapshot.pop("placements", None)
+    return json.dumps(snapshot, sort_keys=True)
 
 
 #: What :class:`ConcurrentEmulator` needs from the backend it wraps.

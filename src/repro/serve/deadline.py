@@ -74,6 +74,18 @@ def current_meta() -> RequestMeta | None:
     return CURRENT_META.get()
 
 
+#: The in-flight request's obs record (a
+#: :class:`~repro.obs.tracectx.RequestContext`), installed by the obs
+#: plane.  It sits beside the meta so the serve layers read it without
+#: importing the obs plane (a shard worker never does).
+CURRENT_REQUEST: ContextVar = ContextVar("repro_obs_request", default=None)
+
+
+def current_request():
+    """The propagated obs context of the in-flight request, if any."""
+    return CURRENT_REQUEST.get()
+
+
 @contextmanager
 def request_meta(deadline: float | None = None, retry: bool = False):
     """Install a :class:`RequestMeta` for the enclosed dispatch."""

@@ -30,26 +30,18 @@ import json
 
 from ..interpreter.endpoint import ProtocolError, RequestIdSequence
 from ..interpreter.errors import ApiResponse
-from ..obs.tracectx import current_request
 from ..resilience.policy import VirtualClock
 from ..spec import ast
 from .admission import AdmissionController
-from .concurrency import replay, sum_version_stats
-from .deadline import DeadlineError, envelope_meta, request_meta
+from .concurrency import canonical_snapshot, replay, sum_version_stats
+from .deadline import (
+    current_request,
+    DeadlineError,
+    envelope_meta,
+    request_meta,
+)
 from .tenancy import AuthError, Tenant, TenantRouter
 from .validation import RequestValidator
-
-
-def canonical_snapshot(snapshot: dict) -> str:
-    """A registry snapshot as the text linearizability checks compare."""
-    snapshot = dict(snapshot)
-    snapshot["wal_seq"] = 0  # replicas carry no log cursor
-    # Region placements are assigned by the front door's network gate,
-    # which the serial-replay replica runs without; they are routing
-    # metadata, not API-visible state, so they are excluded from the
-    # linearizability comparison.
-    snapshot.pop("placements", None)
-    return json.dumps(snapshot, sort_keys=True)
 
 
 def verify_linearizable(frontdoor) -> tuple[bool, list[str]]:

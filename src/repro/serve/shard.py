@@ -60,6 +60,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ..durability.snapshot import registry_diff, write_snapshot
+from ..interpreter.compiler import compile_module
 from ..interpreter.emulator import Emulator
 from ..interpreter.endpoint import (
     EncodedResponse,
@@ -67,15 +68,16 @@ from ..interpreter.endpoint import (
     build_envelope,
 )
 from ..interpreter.errors import ApiResponse
-from ..resilience.chaos import (
+from ..resilience.killswitch import (
     KILL_SITES,
     SimulatedCrash,
     install_kill_switch,
 )
 from ..resilience.policy import VirtualClock
-from ..spec import parse_module, serialize_module
+from ..spec import ast
 from .concurrency import (
     AdmittedLog,
+    canonical_snapshot,
     ConcurrentEmulator,
     dump_jsonl,
     replay,
@@ -83,7 +85,6 @@ from .concurrency import (
 )
 from .deadline import current_meta, expired_response
 from .frontdoor import (
-    canonical_snapshot,
     ConfigError,
     FrontDoor,
     _GuardedBackend,
@@ -261,12 +262,14 @@ class _Pipe:
 
 @dataclass
 class ShardConfig:
-    """Everything one worker needs, picklable across ``spawn``."""
+    """Everything one worker needs, picklable across ``spawn``.
+
+    The spec travels parsed: unpickling ``module`` in the worker costs
+    a tenth of parsing the spec text again.
+    """
 
     index: int
-    module_text: str
-    service: str
-    provider: str
+    module: ast.SpecModule
     notfound_codes: dict
     data_dir: str
     seed: int = 1
@@ -292,10 +295,9 @@ class _ShardWorker:
 
     def __init__(self, config: ShardConfig):
         self.config = config
-        self.module = parse_module(
-            config.module_text, service=config.service,
-            provider=config.provider,
-        )
+        #: Lowered once; every tenant's emulator and every recovery
+        #: self-check control share it (the closures are stateless).
+        self.compiled = compile_module(config.module)
         self.data_dir = Path(config.data_dir)
         self.data_dir.mkdir(parents=True, exist_ok=True)
         self.log = AdmittedLog(self.data_dir / SHARD_WAL_NAME,
@@ -313,7 +315,8 @@ class _ShardWorker:
 
     def _fresh(self) -> Emulator:
         return Emulator(
-            self.module, notfound_codes=self.config.notfound_codes,
+            self.config.module, notfound_codes=self.config.notfound_codes,
+            compiled=self.compiled,
         )
 
     def _tenant(self, name: str) -> ConcurrentEmulator:
@@ -868,9 +871,7 @@ class ShardSupervisor:
         max_misses: int = 3,
         auto_restart: bool = True,
     ):
-        self.module_text = serialize_module(module)
-        self.service = getattr(module, "service", "") or ""
-        self.provider = getattr(module, "provider", "aws") or "aws"
+        self.module = module
         self.notfound_codes = dict(notfound_codes or {})
         self.clock = clock if clock is not None else VirtualClock()
         self.telemetry = telemetry
@@ -961,9 +962,7 @@ class ShardSupervisor:
     def _launch(self, index: int, generation: int):
         config = ShardConfig(
             index=index,
-            module_text=self.module_text,
-            service=self.service,
-            provider=self.provider,
+            module=self.module,
             notfound_codes=self.notfound_codes,
             data_dir=str(self.data_dir / f"shard-{index}"),
             seed=self.seed + index,

@@ -26,10 +26,17 @@ class TestBuilder:
         )
 
     def test_backends_are_independent(self, build):
+        """Backends share the build's one compiled module (its closures
+        are stateless) and nothing else."""
         first = build.make_backend()
         second = build.make_backend()
-        first.invoke("CreateVpc", {"CidrBlock": "10.0.0.0/16"})
+        assert first._compiled is second._compiled is build.compiled
+        vpc = first.invoke("CreateVpc", {"CidrBlock": "10.0.0.0/16"})
+        describe = {"VpcId": vpc.data["vpc_id"]}
+        assert first.invoke("DescribeVpcs", describe).success
         assert len(second.registry) == 0
+        assert not second.invoke("DescribeVpcs", describe).success
+        assert build.make_backend(compile=False)._compiled is None
 
     def test_basic_functionality_program(self, build):
         """§5's basic-functionality check: the DevOps program creating a

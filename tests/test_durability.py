@@ -29,8 +29,8 @@ from repro.durability.journal import decode_line, encode_record
 from repro.durability.snapshot import decode_value, encode_value
 from repro.interpreter import Emulator
 from repro.serve import AdmittedLog, ConcurrentEmulator
-from repro.serve.frontdoor import canonical_snapshot
-from repro.resilience.chaos import (
+from repro.serve.concurrency import canonical_snapshot
+from repro.resilience.killswitch import (
     clear_kill_switch,
     install_kill_switch,
     KILL_SITES,

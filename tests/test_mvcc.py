@@ -13,9 +13,10 @@ import pytest
 from repro.core import build_learned_emulator
 from repro.durability.snapshot import version_dump
 from repro.interpreter.machine import ReadOnlyView, Registry, Transaction
-from repro.obs.tracectx import CURRENT_REQUEST, RequestContext
+from repro.obs.tracectx import RequestContext
 from repro.resilience.chaos import ChaosEngine, ChaosProxy, HOSTILE_PROFILE
 from repro.serve import ConcurrentEmulator, FrontDoor, LoadGenerator
+from repro.serve.deadline import CURRENT_REQUEST
 from repro.serve.mvcc import ReaderSlots, VersionChain
 from repro.telemetry.report import _serving_rows
 

@@ -21,7 +21,7 @@ from repro.core import build_learned_emulator
 from repro.interpreter import Emulator
 from repro.interpreter.endpoint import EncodedResponse, JsonEndpoint
 from repro.interpreter.errors import ApiResponse
-from repro.resilience.chaos import (
+from repro.resilience.killswitch import (
     KILL_SITES,
     SimulatedCrash,
     clear_kill_switch,
@@ -36,7 +36,7 @@ from repro.serve import (
     parse_kill_schedule,
     shard_for,
 )
-from repro.serve.frontdoor import canonical_snapshot
+from repro.serve.concurrency import canonical_snapshot
 from repro.serve.loadgen import TrafficModel
 from repro.serve.shard import (
     CRASH_EXIT_CODE,
@@ -45,7 +45,7 @@ from repro.serve.shard import (
     _ShardWorker,
     _serve,
 )
-from repro.spec import parse_module, serialize_module
+from repro.spec import parse_module
 
 from .test_interpreter import PUBLIC_IP_MODULE
 
@@ -562,6 +562,31 @@ class TestShardLog:
         recovered.close()
 
 
+class TestShardWorkerCompile:
+    def test_tenants_and_recovery_share_one_compiled_module(self, tmp_path):
+        """A worker lowers its spec once: every tenant's emulator and
+        every recovery self-check control run the same closures, and
+        the tenants' registries stay apart."""
+        config = ShardConfig(
+            index=0, module=toy_module(), notfound_codes={},
+            data_dir=str(tmp_path),
+        )
+        worker = _ShardWorker(config)
+        params = {"region": "us-east"}
+        assert worker.invoke("a", "CreatePublicIP", params).success
+        assert worker.invoke("b", "CreatePublicIP", params).success
+        assert worker.invoke("a", "CreatePublicIP", params).success
+        tenants = [worker._tenant(name).inner for name in ("a", "b")]
+        assert all(t._compiled is worker.compiled for t in tenants)
+        assert [len(t.registry) for t in tenants] == [2, 1]
+        worker.log.close()
+        recovered = _ShardWorker(config)
+        assert [r["identical"] for r in recovered.recovery] == [True, True]
+        assert recovered._fresh()._compiled is recovered.compiled
+        assert recovered.snapshot("a") == worker.snapshot("a")
+        recovered.log.close()
+
+
 class TestShardWorkerSnapshots:
     """A worker's periodic snapshots follow ``ShardConfig.fsync`` the
     way its WAL does."""
@@ -578,10 +603,8 @@ class TestShardWorkerSnapshots:
         monkeypatch.setattr(os, "fsync", counting_fsync)
         module = toy_module()
         worker = _ShardWorker(ShardConfig(
-            index=0, module_text=serialize_module(module),
-            service=module.service, provider=module.provider,
-            notfound_codes={}, data_dir=str(tmp_path),
-            snapshot_interval=3, fsync=fsync,
+            index=0, module=module, notfound_codes={},
+            data_dir=str(tmp_path), snapshot_interval=3, fsync=fsync,
         ))
         for __ in range(3):
             assert worker.invoke(
@@ -604,10 +627,8 @@ class TestShardWorkerSnapshots:
         replays the logged write on top of it, byte-identically."""
         module = toy_module()
         config = ShardConfig(
-            index=0, module_text=serialize_module(module),
-            service=module.service, provider=module.provider,
-            notfound_codes={}, data_dir=str(tmp_path),
-            snapshot_interval=1,
+            index=0, module=module, notfound_codes={},
+            data_dir=str(tmp_path), snapshot_interval=1,
         )
         worker = _ShardWorker(config)
         params = {"region": "us-east"}
