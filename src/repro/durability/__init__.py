@@ -24,6 +24,7 @@ from .journal import (
 )
 from .snapshot import (
     SNAPSHOT_FORMAT_VERSION,
+    SnapshotEncoder,
     read_snapshot,
     registry_diff,
     registry_dump,
@@ -44,6 +45,7 @@ __all__ = [
     "as_journal",
     "scan_records",
     "SNAPSHOT_FORMAT_VERSION",
+    "SnapshotEncoder",
     "read_snapshot",
     "registry_diff",
     "registry_dump",

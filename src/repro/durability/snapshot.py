@@ -85,6 +85,19 @@ def decode_value(value: object) -> object:
     return value
 
 
+def _instance_entry(instance) -> dict:
+    """One instance's snapshot entry."""
+    return {
+        "id": instance.id,
+        "sm": instance.type_name,
+        "parent_id": instance.parent_id,
+        "state": {
+            name: encode_value(value)
+            for name, value in instance.state.items()
+        },
+    }
+
+
 def _dump_state(counters: dict, instances: InstanceMap,
                 placements: dict) -> dict:
     """The shared dump body: counters, encoded instances, placements.
@@ -96,16 +109,7 @@ def _dump_state(counters: dict, instances: InstanceMap,
     dump = {
         "counters": dict(counters),
         "instances": [
-            {
-                "id": instance.id,
-                "sm": instance.type_name,
-                "parent_id": instance.parent_id,
-                "state": {
-                    name: encode_value(value)
-                    for name, value in instance.state.items()
-                },
-            }
-            for instance in instances.values()
+            _instance_entry(instance) for instance in instances.values()
         ],
     }
     # Region placements ride along only when a regional front door
@@ -253,11 +257,7 @@ def write_snapshot(path: str | Path, snapshot: dict,
     (``indent`` forces the pure-Python one); every reader parses the
     file with ``json.loads``.  ``fsync=False`` skips the durability
     flushes (see :func:`~repro.durability.atomic.atomic_write`)."""
-    return atomic_write(
-        path,
-        json.dumps(snapshot, separators=(",", ":"), sort_keys=True) + "\n",
-        fsync=fsync,
-    )
+    return atomic_write(path, _dumps(snapshot) + "\n", fsync=fsync)
 
 
 def read_snapshot(path: str | Path) -> dict:
@@ -273,3 +273,68 @@ def read_snapshot(path: str | Path) -> dict:
     if not isinstance(snapshot, dict):
         raise DurabilityError(f"snapshot {target} is not a JSON object")
     return snapshot
+
+
+def _dumps(value: object) -> str:
+    """The JSON every snapshot file is written in: compact, keys sorted."""
+    return json.dumps(value, separators=(",", ":"), sort_keys=True)
+
+
+def _object_text(members: dict[str, str]) -> str:
+    """A JSON object from already-encoded member values, its keys in
+    the order ``json.dumps(sort_keys=True)`` puts them."""
+    return "{" + ",".join(
+        f"{json.dumps(key)}:{members[key]}" for key in sorted(members)
+    ) + "}"
+
+
+class SnapshotEncoder:
+    """One registry's snapshot file text, re-encoding only what changed.
+
+    Committed instances are copy-on-write (:meth:`Transaction.commit`
+    replaces an instance, never mutates it), so an instance's encoded
+    entry holds for as long as that same object sits in the registry.
+    The encoder keeps each id's instance and entry text from its
+    earlier calls; :meth:`text` encodes only the instances whose object
+    changed and joins the cached entries, so beyond one pass over the
+    ids and the join its cost is O(changed instances), not O(registry).
+    """
+
+    __slots__ = ("_instances", "_texts", "encoded")
+
+    def __init__(self):
+        self._instances: dict[str, object] = {}
+        self._texts: dict[str, str] = {}
+        #: Instance entries encoded so far (cache misses).
+        self.encoded = 0
+
+    def text(self, version, **outer) -> str:
+        """What :func:`write_snapshot` writes for
+        ``{**outer, "snapshot": snapshot_version(version)}``, byte for
+        byte."""
+        instances, texts = self._instances, self._texts
+        fragments = []
+        for instance_id, instance in version.instances.items():
+            if instances.get(instance_id) is not instance:
+                instances[instance_id] = instance
+                texts[instance_id] = _dumps(_instance_entry(instance))
+                self.encoded += 1
+            fragments.append(texts[instance_id])
+        if len(instances) > 2 * len(fragments) + 64:
+            # Forget the ids that are gone, and the instances they hold.
+            self._instances = dict(version.instances.items())
+            self._texts = {key: texts[key] for key in self._instances}
+        snapshot = {
+            "format_version": _dumps(SNAPSHOT_FORMAT_VERSION),
+            "wal_seq": _dumps(version.wal_seq),
+            "counters": _dumps(version.counters),
+            # A mark for the instance entries, joined in below with one
+            # copy: JSON text escapes NUL, so it occurs nowhere else.
+            "instances": "[\0]",
+        }
+        if version.placements:
+            snapshot["placements"] = _dumps(version.placements)
+        members = {key: _dumps(value) for key, value in outer.items()}
+        members["snapshot"] = _object_text(snapshot)
+        head, tail = (_object_text(members) + "\n").split("\0")
+        return "".join((head, ",".join(fragments), tail))

@@ -260,10 +260,15 @@ class ConcurrentEmulator:
         result is byte-identical to what a stop-the-world snapshot at
         publish time would have produced.  Its ``wal_seq`` is the seq
         of the last logged attempt the state covers."""
+        return self.pinned(snapshot_version)
+
+    def pinned(self, dump):
+        """``dump(version)`` of the newest published version, pinned
+        while ``dump`` runs (:meth:`snapshot` is the common case)."""
         slot = self._slots.slot()
         version = self._chain.pin(slot)
         try:
-            return snapshot_version(version)
+            return dump(version)
         finally:
             slot.pinned = None
             slot.reads += 1

@@ -24,8 +24,10 @@ tenant -> shard hash) and puts a supervising parent in front:
   the worker's tenants (its append is the ``mid-serve-wal-append``
   kill site — a crash there leaves a deliberately torn half-line),
   plus per-tenant snapshot files written atomically every
-  ``snapshot_interval`` writes, each *after* the reply of the write
-  that made it due.  Recovery is snapshot restore + replay of the log
+  ``snapshot_interval`` writes, each encoded *after* the reply of the
+  write that made it due (only the instances changed since the last
+  one) and written by a writer thread.  Recovery is snapshot restore +
+  replay of the log
   past the snapshot's cursor, then a self-check: a full from-scratch
   replay of every tenant's attempts must be **byte-identical** to the
   recovered registry, and any divergence is reported to the
@@ -59,7 +61,8 @@ import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..durability.snapshot import registry_diff, write_snapshot
+from ..durability.atomic import atomic_write
+from ..durability.snapshot import SnapshotEncoder, registry_diff
 from ..interpreter.compiler import compile_module
 from ..interpreter.emulator import Emulator
 from ..interpreter.endpoint import (
@@ -280,6 +283,69 @@ class ShardConfig:
     kill_schedule: dict | None = None
 
 
+class _SnapshotWriter:
+    """A worker's snapshot files, written in order on one thread.
+
+    The serve thread hands each snapshot over as ``(path, text)`` and
+    goes back to its pipes; the writer thread, started on the first
+    hand-over, does the :func:`~repro.durability.atomic.atomic_write`
+    and its fsyncs.  A snapshot queued but not yet written when the
+    process dies leaves the older file on disk, and recovery replays
+    the attempt log past that file's ``wal_seq``.  A failed write
+    likewise leaves the older file.
+    """
+
+    def __init__(self, fsync: bool):
+        self.fsync = fsync
+        #: Snapshots handed over (counted by the serve thread), and
+        #: snapshots done and written (counted by the writer thread).
+        self.queued = 0
+        self.done = 0
+        self.written = 0
+        self._queue: queue.Queue = queue.Queue()
+        self._thread: threading.Thread | None = None
+
+    @property
+    def backlog(self) -> int:
+        """Snapshots handed over and not yet on disk."""
+        return self.queued - self.done
+
+    def put(self, path: Path, text: str) -> None:
+        if self._thread is None:
+            self._thread = threading.Thread(
+                target=self._run, name="repro-shard-snapshots",
+                daemon=True,
+            )
+            self._thread.start()
+        self.queued += 1
+        self._queue.put((path, text))
+
+    def flush(self) -> None:
+        """Wait until every snapshot handed over is done."""
+        self._queue.join()
+
+    def close(self) -> None:
+        """Write what is queued, then stop the thread."""
+        if self._thread is not None:
+            self._queue.put(None)
+            self._thread.join()
+            self._thread = None
+
+    def _run(self) -> None:
+        while (item := self._queue.get()) is not None:
+            try:
+                atomic_write(*item, fsync=self.fsync)
+                self.written += 1
+            except Exception:
+                # Counted in stats(); the older snapshot and the log
+                # tail still recover the tenant.
+                pass
+            finally:
+                self.done += 1
+                self._queue.task_done()
+        self._queue.task_done()
+
+
 class _ShardWorker:
     """One shard's serving state inside its worker process.
 
@@ -290,7 +356,10 @@ class _ShardWorker:
     :class:`AdmittedLog`: it logs each write attempt before dispatch
     and stamps each published version with the log cursor it covers,
     and its MVCC surface gives torn-free snapshots, version accounting
-    and the ``mid-publish`` kill site.
+    and the ``mid-publish`` kill site.  A periodic snapshot costs the
+    serve thread only the encoding of the instances changed since the
+    tenant's last one (:class:`SnapshotEncoder`); a
+    :class:`_SnapshotWriter` thread writes the file.
     """
 
     def __init__(self, config: ShardConfig):
@@ -307,8 +376,12 @@ class _ShardWorker:
         #: Tenants whose periodic snapshot is due at the next
         #: :meth:`checkpoint`.
         self._snapshot_due: set[str] = set()
+        self._encoders: dict[str, SnapshotEncoder] = {}
+        self._writer = _SnapshotWriter(config.fsync)
         self.requests = 0
         self.writes = 0
+        #: Serve-thread seconds spent encoding and queueing snapshots.
+        self.checkpoint_seconds = 0.0
         self.recovery = self._recover()
 
     # -- construction ------------------------------------------------------
@@ -344,6 +417,10 @@ class _ShardWorker:
         registry.  The report rides to the supervisor in the hello
         message; a non-identical recovery is a linearizability failure.
         """
+        # A death inside the writer thread's atomic_write leaves the
+        # temp file of the snapshot it was replacing.
+        for stale in self.data_dir.glob(".tenant-*.snapshot.json.tmp.*"):
+            stale.unlink(missing_ok=True)
         records = self.log.records
         snapshots: dict[str, dict] = {}
         for path in sorted(self.data_dir.glob("tenant-*.snapshot.json")):
@@ -405,22 +482,36 @@ class _ShardWorker:
         self._snapshot_due.add(tenant)
 
     def checkpoint(self) -> None:
-        """Write the periodic snapshots that writes made due.
+        """Queue the periodic snapshots that writes made due.
 
         The serve loop runs this after the write's reply is on the
-        pipe, so a snapshot never delays a reply.  A crash before it
-        runs loses nothing: the attempt was logged before dispatch, so
-        recovery replays it from the older snapshot plus the log tail.
+        pipe, so a snapshot never delays a reply, and the file is
+        written by the writer thread.  A crash before the file is
+        written loses nothing: the attempt was logged before dispatch,
+        so recovery replays it from the older snapshot plus the log
+        tail.
         """
+        if not self._snapshot_due:
+            return
+        started = time.perf_counter()
         while self._snapshot_due:
-            self._write_snapshot(self._snapshot_due.pop())
+            self._queue_snapshot(self._snapshot_due.pop())
+        self.checkpoint_seconds += time.perf_counter() - started
 
-    def _write_snapshot(self, tenant: str) -> None:
-        write_snapshot(self._snapshot_path(tenant), {
-            "tenant": tenant,
-            "shard": self.config.index,
-            "snapshot": self._emulators[tenant].snapshot(),
-        }, fsync=self.config.fsync)
+    def _queue_snapshot(self, tenant: str) -> None:
+        encoder = self._encoders.get(tenant)
+        if encoder is None:
+            encoder = self._encoders[tenant] = SnapshotEncoder()
+        text = self._emulators[tenant].pinned(
+            lambda version: encoder.text(
+                version, tenant=tenant, shard=self.config.index
+            )
+        )
+        self._writer.put(self._snapshot_path(tenant), text)
+
+    def flush(self) -> None:
+        """Wait until every queued snapshot is on disk."""
+        self._writer.flush()
 
     # -- introspection ops --------------------------------------------------
 
@@ -442,12 +533,18 @@ class _ShardWorker:
             "admitted": len(self.log),
             "tenants": sorted(self._emulators),
             "version_stats": version_stats,
+            "snapshots_written": self._writer.written,
+            "snapshot_backlog": self._writer.backlog,
+            "snapshot_failures": self._writer.done - self._writer.written,
+            "checkpoint_us": round(self.checkpoint_seconds * 1e6, 1),
         }
 
     def shutdown(self) -> None:
-        """Final snapshots for every tenant, then close the log."""
+        """Final snapshots for every tenant, written before the log
+        closes."""
         for tenant in self._emulators:
-            self._write_snapshot(tenant)
+            self._queue_snapshot(tenant)
+        self._writer.close()
         self.log.close()
 
 
@@ -506,7 +603,8 @@ def _worker_main(config: ShardConfig, socks: list) -> None:
 
     One ``select.poll`` loop serves every pipe of the shard on this
     one thread, so requests run one at a time in the order their frames
-    are read.  A write's due snapshot runs after its reply is written.
+    are read.  A write's due snapshot is queued after its reply is
+    written.
     An injected :class:`SimulatedCrash` anywhere in request handling
     exits immediately via ``os._exit`` — no reply, no flush, no
     cleanup — which is exactly the failure the supervisor must detect
@@ -623,6 +721,15 @@ def _threads() -> list[int]:
                 if thread.native_id is not None]
 
 
+def _process_threads(pid: int) -> list[int]:
+    """The native ids of process ``pid``'s threads; just ``pid`` where
+    /proc cannot say."""
+    try:
+        return [int(tid) for tid in os.listdir(f"/proc/{pid}/task")]
+    except (OSError, ValueError):
+        return [pid]
+
+
 def _pin(tid: int, cpus) -> None:
     try:
         os.sched_setaffinity(tid, cpus)
@@ -734,8 +841,11 @@ class _Placement:
             door._export_placement()
 
     def place(self, process) -> None:
-        """Give a worker the CPUs of the current state; lock held."""
-        _pin(process.pid, self.worker_cpus if self.active else self.cpus)
+        """Give every thread of a worker the CPUs of the current state;
+        lock held."""
+        cpus = self.worker_cpus if self.active else self.cpus
+        for tid in _process_threads(process.pid):
+            _pin(tid, cpus)
 
     def tally(self) -> None:
         """Count one request; every ``PLACEMENT_CHECK_REQUESTS`` the
@@ -908,18 +1018,25 @@ class ShardSupervisor:
         self._workers: dict[int, multiprocessing.Process] = {}
         self._placement = _Placement.join(self)
         self._handles = []
+        # Every worker starts before any hello is awaited, so the
+        # workers recover side by side.
+        started = []
         try:
             for index in range(max(1, shards)):
                 handle = _ShardHandle(index)
-                process, pipes, hello = self._launch(index, generation=0)
-                handle.process = process
+                handle.process, pipes = self._start(index, generation=0)
+                started.append((handle, pipes))
+            for handle, pipes in started:
+                hello = self._hello(handle.index, 0, handle.process, pipes)
                 for pipe in pipes:
                     handle.pool.put(pipe)
                 self._adopt_hello(handle, hello)
                 self._handles.append(handle)
         except BaseException:
-            for handle in self._handles:
+            for handle, pipes in started:
                 handle.process.terminate()
+                for pipe in pipes:
+                    pipe.close()
             self._unplace()
             raise
         self._export_placement()
@@ -960,6 +1077,12 @@ class ShardSupervisor:
         return None
 
     def _launch(self, index: int, generation: int):
+        """Start one worker and wait for its hello."""
+        process, pipes = self._start(index, generation)
+        return process, pipes, self._hello(index, generation, process, pipes)
+
+    def _start(self, index: int, generation: int):
+        """Spawn one worker and place it; its hello is still to come."""
         config = ShardConfig(
             index=index,
             module=self.module,
@@ -993,6 +1116,17 @@ class ShardSupervisor:
                 with _Placement.lock:
                     self._workers[index] = process
                     placement.place(process)
+        except BaseException:
+            for pipe in pipes:
+                pipe.close()
+            raise
+        return process, pipes
+
+    def _hello(self, index: int, generation: int, process,
+               pipes: list) -> dict:
+        """Wait for a started worker's hello (its recovery report);
+        the worker's pipes are closed if it never says it."""
+        try:
             deadline = time.monotonic() + SPAWN_TIMEOUT
             while True:
                 try:
@@ -1017,7 +1151,7 @@ class ShardSupervisor:
             for pipe in pipes:
                 pipe.close()
             raise
-        return process, pipes, hello
+        return hello
 
     def _adopt_hello(self, handle: _ShardHandle, hello: dict) -> None:
         handle.recovery = list(hello.get("recovery", []))
@@ -1399,6 +1533,12 @@ class ShardSupervisor:
             telemetry.metrics.gauge(
                 "serve.version_publishes", shard=shard
             ).set(publishes)
+            for name, key in (
+                ("shard.snapshots", "snapshots_written"),
+                ("shard.snapshot_backlog", "snapshot_backlog"),
+                ("shard.checkpoint_us", "checkpoint_us"),
+            ):
+                telemetry.metrics.gauge(name, shard=shard).set(stats[key])
 
     # -- shutdown ----------------------------------------------------------
 

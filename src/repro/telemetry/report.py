@@ -274,6 +274,14 @@ def _shard_rows(metrics: dict) -> list[str]:
         ))
     if misses:
         rows.append(f"{misses} heartbeat miss(es)")
+    snapshots = _metric_total(metrics, "shard.snapshots")
+    if snapshots:
+        backlog = _metric_total(metrics, "shard.snapshot_backlog")
+        checkpoint_us = _metric_total(metrics, "shard.checkpoint_us")
+        rows.append(
+            f"{snapshots} snapshot(s) written ({backlog} queued, "
+            f"{checkpoint_us / 1e3:.1f} ms of serve-thread checkpoints)"
+        )
     return rows
 
 

@@ -18,9 +18,15 @@ import time
 import pytest
 
 from repro.core import build_learned_emulator
+from repro.durability.snapshot import (
+    SnapshotEncoder,
+    snapshot_version,
+    write_snapshot,
+)
 from repro.interpreter import Emulator
 from repro.interpreter.endpoint import EncodedResponse, JsonEndpoint
 from repro.interpreter.errors import ApiResponse
+from repro.interpreter.machine import Registry, Transaction
 from repro.resilience.killswitch import (
     KILL_SITES,
     SimulatedCrash,
@@ -46,6 +52,8 @@ from repro.serve.shard import (
     _serve,
 )
 from repro.spec import parse_module
+from repro.telemetry import Telemetry
+from repro.telemetry.report import _shard_rows
 
 from .test_interpreter import PUBLIC_IP_MODULE
 
@@ -611,6 +619,7 @@ class TestShardWorkerSnapshots:
                 "t", "CreatePublicIP", {"region": "us-east"}
             ).success
             worker.checkpoint()  # the serve loop's post-reply step
+        worker.flush()  # the writer thread has written the files
         worker.log.close()
         assert worker._snapshot_path("t").exists()
         return len(calls)
@@ -634,6 +643,7 @@ class TestShardWorkerSnapshots:
         params = {"region": "us-east"}
         assert worker.invoke("t", "CreatePublicIP", params).success
         worker.checkpoint()
+        worker.flush()
         assert worker.invoke("t", "CreatePublicIP", params).success
         # The crash: the second write's checkpoint never runs.
         worker.log.close()
@@ -654,6 +664,247 @@ class TestShardWorkerSnapshots:
         recovered.log.close()
 
 
+def _reference_text(tmp_path, version, **outer) -> str:
+    """What ``write_snapshot`` writes for ``version`` under ``outer``."""
+    path = write_snapshot(tmp_path / "reference.json", {
+        **outer, "snapshot": snapshot_version(version),
+    }, fsync=False)
+    return path.read_text()
+
+
+class TestQueuedSnapshots:
+    """Snapshot files are written by the worker's writer thread; what
+    it has not written yet, recovery replays from the attempt log."""
+
+    def test_crash_with_a_snapshot_queued_recovers(self, tmp_path,
+                                                   monkeypatch):
+        module = toy_module()
+        config = ShardConfig(
+            index=0, module=module, notfound_codes={},
+            data_dir=str(tmp_path), snapshot_interval=1,
+        )
+        worker = _ShardWorker(config)
+        params = {"region": "us-east"}
+        assert worker.invoke("t", "CreatePublicIP", params).success
+        worker.checkpoint()
+        worker.flush()
+        # The writer thread stalls in its next write and the process
+        # dies before the file is written.
+        stalled = threading.Event()
+        released = threading.Event()
+
+        def stall(path, data, **kwargs):
+            stalled.set()
+            released.wait(10)
+
+        monkeypatch.setattr("repro.serve.shard.atomic_write", stall)
+        assert worker.invoke("t", "CreatePublicIP", params).success
+        worker.checkpoint()
+        assert worker.invoke("t", "CreatePublicIP", params).success
+        worker.checkpoint()
+        assert stalled.wait(10)
+        stats = worker.stats()
+        assert stats["snapshot_backlog"] == 2
+        assert stats["snapshots_written"] == 1
+        assert stats["snapshot_failures"] == 0
+        assert stats["checkpoint_us"] > 0
+        worker.log.close()
+        on_disk = worker._snapshot_path("t").read_text()
+        assert json.loads(on_disk)["snapshot"]["wal_seq"] == 1
+
+        recovered = _ShardWorker(config)
+        released.set()
+        [report] = recovered.recovery
+        assert report["identical"]
+        assert report["snapshot_seq"] == 1
+        assert report["replayed"] == 2
+        control = Emulator(module)
+        for __ in range(3):
+            control.invoke("CreatePublicIP", dict(params))
+        assert canonical_snapshot(recovered.snapshot("t")) == (
+            canonical_snapshot(control.snapshot())
+        )
+        assert worker._snapshot_path("t").read_text() == on_disk
+        recovered.log.close()
+
+    def test_failed_write_is_counted_and_leaves_the_older_file(
+        self, tmp_path, monkeypatch
+    ):
+        worker = _ShardWorker(ShardConfig(
+            index=0, module=toy_module(), notfound_codes={},
+            data_dir=str(tmp_path), snapshot_interval=1,
+        ))
+        params = {"region": "us-east"}
+        assert worker.invoke("t", "CreatePublicIP", params).success
+        worker.checkpoint()
+        worker.flush()
+        before = worker._snapshot_path("t").read_text()
+
+        def full_disk(path, data, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr("repro.serve.shard.atomic_write", full_disk)
+        assert worker.invoke("t", "CreatePublicIP", params).success
+        worker.checkpoint()
+        worker.flush()
+        stats = worker.stats()
+        assert stats["snapshot_failures"] == 1
+        assert stats["snapshots_written"] == 1
+        assert stats["snapshot_backlog"] == 0
+        assert worker._snapshot_path("t").read_text() == before
+        monkeypatch.undo()
+        worker.shutdown()
+        recovered = _ShardWorker(worker.config)
+        assert [r["identical"] for r in recovered.recovery] == [True]
+        assert recovered.recovery[0]["snapshot_seq"] == 2
+        recovered.log.close()
+
+    def test_recovery_removes_stale_temp_files(self, tmp_path):
+        config = ShardConfig(
+            index=0, module=toy_module(), notfound_codes={},
+            data_dir=str(tmp_path), snapshot_interval=1,
+        )
+        worker = _ShardWorker(config)
+        assert worker.invoke(
+            "t", "CreatePublicIP", {"region": "us-east"}
+        ).success
+        worker.checkpoint()
+        worker.shutdown()
+        # A death inside the writer's atomic_write leaves its temp file.
+        stale = tmp_path / ".tenant-t.snapshot.json.tmp.4242"
+        stale.write_text('{"torn')
+        kept = tmp_path / "notes.tmp.txt"
+        kept.write_text("not a snapshot")
+        recovered = _ShardWorker(config)
+        assert not stale.exists()
+        assert kept.exists()
+        assert [r["identical"] for r in recovered.recovery] == [True]
+        assert recovered.recovery[0]["snapshot_seq"] == 1
+        recovered.log.close()
+
+
+class TestSnapshotEncoder:
+    """A checkpoint encodes only the instances that changed since the
+    tenant's last one, and its text is what ``write_snapshot`` writes."""
+
+    def test_text_matches_write_snapshot(self, tmp_path):
+        spec = type("Spec", (), {"name": "vpc"})()
+        registry = Registry()
+        encoder = SnapshotEncoder()
+
+        def commit(change, seq):
+            txn = Transaction(registry)
+            change(txn)
+            txn.commit()
+            version = registry.publish()
+            version.wal_seq = seq
+            text = encoder.text(version, tenant="t", shard=2)
+            assert text == _reference_text(
+                tmp_path, version, tenant="t", shard=2
+            )
+            return version
+
+        def create(state, parent_id=""):
+            def change(txn):
+                txn.create(registry.create(spec, state, parent_id))
+            return change
+
+        commit(create({
+            "tags": {"Name": "a", "Env": "dev"},
+            "ports": {443, 22, 80},
+            "pair": ("10.0.0.0", 16),
+            "by_number": {2: "two", 1: ("one",)},
+            "nested": [{"cidrs": {"b", "a"}}, None, 1.5, True],
+            "tricky": {"$repro": "not a tag"},
+        }), 1)
+        commit(create({"tags": {}}, parent_id="vpc-00000001"), 2)
+        commit(create({"tags": {}}), 3)
+        # An attribute flip and a new tag replace the instances.
+        commit(lambda txn: txn.set_state(
+            "vpc-00000002", "tags", {"Name": "b"}
+        ), 4)
+        commit(lambda txn: txn.set_state(
+            "vpc-00000001", "ports", {22}
+        ), 5)
+        # A delete drops the id; a placement adds "placements".
+        commit(lambda txn: txn.mark_deleted("vpc-00000003"), 6)
+        registry.place("vpc-00000001", "us-west")
+        version = commit(lambda txn: None, 7)
+        assert version.placements == {"vpc-00000001": "us-west"}
+        assert encoder.encoded == 5
+
+    def test_worker_checkpoints_match_write_snapshot(self, build,
+                                                      tmp_path):
+        """Seeded ec2 traffic (creates, deletes, modifies and tags,
+        failures included) through a worker: every checkpoint's file
+        is the file ``write_snapshot`` writes for the same version."""
+        worker = _ShardWorker(ShardConfig(
+            index=1, module=build.module,
+            notfound_codes=build.make_backend().notfound_codes,
+            data_dir=str(tmp_path / "shard"), snapshot_interval=3,
+        ))
+        model = TrafficModel(build.module, worker._fresh().read_only)
+        rng = random.Random(29)
+        ids = {}
+        compared = 0
+        for __ in range(300):
+            api, params, __ = model.request(rng, 0.2, ids)
+            response = worker.invoke("t", api, params)
+            created = (response.data or {}).get("id")
+            if response.success and isinstance(created, str):
+                ids.setdefault(model.owning_sm(api), []).append(created)
+            due = bool(worker._snapshot_due)
+            worker.checkpoint()
+            if due:
+                worker.flush()
+                on_disk = worker._snapshot_path("t").read_text()
+                version = worker._tenant("t").pinned(lambda v: v)
+                assert on_disk == _reference_text(
+                    tmp_path, version, tenant="t", shard=1
+                )
+                compared += 1
+        worker.shutdown()
+        assert compared >= 60
+        assert worker.stats()["snapshots_written"] == compared + 1
+
+    def test_checkpoint_encodes_only_changed_instances(self, tmp_path):
+        worker = _ShardWorker(ShardConfig(
+            index=0, module=toy_module(), notfound_codes={},
+            data_dir=str(tmp_path), snapshot_interval=3,
+        ))
+
+        def write(api, params):
+            worker.invoke("t", api, params)
+            worker.checkpoint()
+
+        for __ in range(3):
+            write("CreateNIC", {"zone": "us-east"})
+        for __ in range(3):
+            write("CreatePublicIP", {"region": "us-east"})
+        encoder = worker._encoders["t"]
+        # Two checkpoints: the second re-encoded none of the first's.
+        assert encoder.encoded == 6
+        # k = 3 writes: one changes two instances (the IP and, through
+        # its cross-SM call, the NIC), one deletes an instance, one
+        # creates an instance.
+        write("AssociateNIC", {
+            "public_ip_id": "public_ip-00000001",
+            "nic_ref": "nic-00000001",
+        })
+        write("DeleteNIC", {"nic_id": "nic-00000003"})
+        write("CreatePublicIP", {"region": "us-west"})
+        assert encoder.encoded == 6 + 3
+        worker.shutdown()
+        on_disk = json.loads(worker._snapshot_path("t").read_text())
+        instances = {e["id"]: e for e in on_disk["snapshot"]["instances"]}
+        assert "nic-00000003" not in instances
+        assert instances["nic-00000001"]["state"]["public_ip"] == (
+            "public_ip-00000001"
+        )
+        # shutdown's final snapshot found nothing new to encode.
+        assert encoder.encoded == 9
+
+
 class TestSupervisor:
     def test_rpc_roundtrip_and_stats(self, tmp_path):
         with ShardSupervisor(
@@ -671,6 +922,58 @@ class TestSupervisor:
             assert stats[shard]["admitted"] == 1
             # The read was dispatched but never logged as an attempt.
             assert stats[shard]["requests"] == 2
+
+    def test_close_leaves_every_final_snapshot(self, tmp_path):
+        """A graceful close writes each tenant's final snapshot, at its
+        last logged attempt, before the worker acknowledges."""
+        tenants = ["a", "b", "c"]
+        with ShardSupervisor(
+            toy_module(), shards=1, data_dir=tmp_path,
+            snapshot_interval=100,
+        ) as supervisor:
+            for step in range(7):
+                tenant = tenants[step % len(tenants)]
+                assert create_ip(supervisor, 0, tenant=tenant)["success"]
+            live = {t: supervisor.snapshot(0, t) for t in tenants}
+        shard_dir = tmp_path / "shard-0"
+        log = AdmittedLog(shard_dir / "shard.wal")
+        records = log.records
+        log.close()
+        last = {r["tenant"]: r["seq"] for r in records}
+        for tenant in tenants:
+            on_disk = json.loads(
+                (shard_dir / f"tenant-{tenant}.snapshot.json").read_text()
+            )
+            assert on_disk["snapshot"]["wal_seq"] == last[tenant]
+            assert canonical_snapshot(on_disk["snapshot"]) == (
+                canonical_snapshot(live[tenant])
+            )
+        assert max(last.values()) == records[-1]["seq"] == 7
+
+    def test_checkpoint_stats_reach_the_report(self, tmp_path):
+        telemetry = Telemetry(service="toy")
+        with ShardSupervisor(
+            toy_module(), shards=1, data_dir=tmp_path,
+            telemetry=telemetry, snapshot_interval=2,
+        ) as supervisor:
+            for __ in range(4):
+                assert create_ip(supervisor, 0)["success"]
+            assert wait_until(lambda: supervisor.shard_stats()[0][
+                "snapshot_backlog"] == 0)
+            [stats] = supervisor.shard_stats()
+            assert stats["snapshots_written"] == 2
+            assert stats["checkpoint_us"] > 0
+            supervisor.merge_metrics()
+        metrics = telemetry.metrics.snapshot()
+        assert metrics["shard.snapshots{shard=0}"]["value"] == 2
+        assert metrics["shard.snapshot_backlog{shard=0}"]["value"] == 0
+        assert metrics["shard.checkpoint_us{shard=0}"]["value"] == (
+            stats["checkpoint_us"]
+        )
+        assert any(
+            row.startswith("2 snapshot(s) written (0 queued, ")
+            for row in _shard_rows(metrics)
+        )
 
     def test_kill_then_tick_restarts(self, build, tmp_path):
         """A killed worker comes back on the next tick with the state
