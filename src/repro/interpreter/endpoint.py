@@ -102,6 +102,15 @@ class EncodedResponse(ApiResponse):
         return text[:cut] + request_id + text[cut:]
 
 
+def encode_envelope(response: ApiResponse, request_id: str) -> str:
+    """The envelope text of one response under ``request_id``: the one
+    text encoder every wire ``handle`` answers through (a response
+    encoded where it was made only has the id spliced in)."""
+    if isinstance(response, EncodedResponse):
+        return response.with_request_id(request_id)
+    return json.dumps(build_envelope(response, request_id))
+
+
 class RequestIdSequence:
     """Deterministic, thread-safe request-id allocation.
 
@@ -184,10 +193,9 @@ class JsonEndpoint:
         """One parsed request's response from the backend."""
         telemetry = self.telemetry
         if telemetry is None or getattr(telemetry, "obs", None) is not None:
-            # Under the serving observability plane the front door has
-            # already opened this request's root span; a second
-            # per-request span here would only double the span count
-            # the tail sampler is bounding.
+            # Under the serving observability plane the request's root
+            # span is its per-request span; a second one here would
+            # only double the span count the tail sampler is bounding.
             return self.backend.invoke(action, parameters)
         with telemetry.span(
             "endpoint.request", kind="endpoint", action=action
@@ -207,10 +215,8 @@ class JsonEndpoint:
 
     def encode(self, response: ApiResponse) -> str:
         """The envelope text of one response, under the next request
-        id: the one text encoder every ``handle`` answers through."""
-        if isinstance(response, EncodedResponse):
-            return response.with_request_id(self._request_id())
-        return json.dumps(build_envelope(response, self._request_id()))
+        id (:func:`encode_envelope`)."""
+        return encode_envelope(response, self._request_id())
 
     # -- text envelope -----------------------------------------------------------
 

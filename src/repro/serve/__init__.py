@@ -11,8 +11,8 @@ production-shaped, multi-tenant service front end:
 - :mod:`admission` — per-tenant token buckets, the bounded admission
   queue and degraded-mode overload shedding;
 - :mod:`tenancy` — per-API-key registry namespaces;
-- :mod:`frontdoor` — the composed stack and its serial-replay
-  linearizability check;
+- :mod:`frontdoor` — the one serve pipeline every tenant's requests
+  run through, and its serial-replay linearizability check;
 - :mod:`loadgen` — the one seeded client loop behind ``repro
   serve-bench``, the geo noise scenario and the fairness drills;
 - :mod:`shard` — crash-tolerant multi-process sharding: the worker
@@ -52,7 +52,6 @@ from .shard import (
     ShardConfig,
     ShardedFrontDoor,
     ShardSupervisor,
-    ShardTenantRouter,
     parse_kill_schedule,
     shard_for,
 )
@@ -87,7 +86,6 @@ __all__ = [
     "RequestValidator",
     "ShardConfig",
     "ShardSupervisor",
-    "ShardTenantRouter",
     "ShardedFrontDoor",
     "THROTTLED",
     "Tenant",

@@ -177,6 +177,29 @@ def canonical_snapshot(snapshot: dict) -> str:
     return json.dumps(snapshot, sort_keys=True)
 
 
+def replay_divergence(emulator_factory, records, live) -> str | None:
+    """The linearizability comparison for one tenant.
+
+    Replays ``records`` serially into a fresh ``emulator_factory()``
+    replica, then compares its :func:`canonical_snapshot` with that of
+    ``live()``, the live registry's snapshot.  ``live`` is called only
+    after the replay, so the replica and the live snapshot are never
+    both held.  Returns ``""`` when the two are byte-identical, the two
+    sizes when not, and ``None`` when ``live()`` has no snapshot.
+    """
+    replica = emulator_factory()
+    replay(replica, records)
+    replayed = canonical_snapshot(replica.snapshot())
+    del replica
+    snapshot = live()
+    if snapshot is None:
+        return None
+    expected = canonical_snapshot(snapshot)
+    if expected == replayed:
+        return ""
+    return f"live {len(expected)}B != replay {len(replayed)}B"
+
+
 #: What :class:`ConcurrentEmulator` needs from the backend it wraps.
 _SURFACE = ("read_only", "invoke_at", "publish_version")
 

@@ -13,7 +13,7 @@ layers must honor end to end:
 
 Both travel in a :class:`RequestMeta` on a context variable, the same
 propagation channel the obs plane's :class:`RequestContext` uses: the
-front door parses the envelope's ``DeadlineSeconds`` / ``Retry``
+front door reads the envelope's ``DeadlineSeconds`` / ``Retry``
 fields once, installs the meta, and admission, the region gate and
 the shard RPC stub all read it without any signature threading.
 
@@ -96,30 +96,27 @@ def request_meta(deadline: float | None = None, retry: bool = False):
         CURRENT_META.reset(token)
 
 
-def envelope_meta(request: dict, clock) -> tuple[float | None, bool]:
-    """Parse ``DeadlineSeconds`` / ``Retry`` out of one envelope.
+def deadline_at(seconds, clock) -> float | None:
+    """The absolute virtual deadline of ``seconds`` of client budget.
 
-    ``DeadlineSeconds`` is relative (what a wire client can state
-    without sharing a clock); the absolute virtual deadline is minted
-    here, at arrival — queue time already counts against it.  A
-    non-positive budget is honest shorthand for "already expired"; a
-    value that is not a number raises :class:`DeadlineError` so the
-    front door can answer with a validation error instead of silently
-    dropping the client's intent.
+    A client states its deadline as relative seconds (what a wire
+    client can state without sharing a clock); the absolute virtual
+    deadline is minted here, at arrival — queue time already counts
+    against it.  ``None`` is no deadline; a non-positive budget is
+    honest shorthand for "already expired"; a value that is not a
+    number raises :class:`DeadlineError` so the front door can answer
+    with a validation error instead of silently dropping the client's
+    intent.
     """
-    seconds = request.get("DeadlineSeconds")
-    deadline = None
-    if seconds is not None:
-        if isinstance(seconds, bool) or not isinstance(
-            seconds, (int, float)
-        ):
-            raise DeadlineError(
-                "DeadlineSeconds must be a number of seconds of "
-                "remaining client budget"
-            )
-        now = clock.now()
-        deadline = now + float(seconds) if seconds > 0 else now
-    return deadline, request.get("Retry") is True
+    if seconds is None:
+        return None
+    if isinstance(seconds, bool) or not isinstance(seconds, (int, float)):
+        raise DeadlineError(
+            "DeadlineSeconds must be a number of seconds of "
+            "remaining client budget"
+        )
+    now = clock.now()
+    return now + float(seconds) if seconds > 0 else now
 
 
 def expired_response(stage: str, remaining: float = 0.0) -> ApiResponse:

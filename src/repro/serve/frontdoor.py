@@ -1,21 +1,33 @@
 """The production-shaped front door over any backend.
 
 ``FrontDoor`` composes the serving layers in the order a real cloud
-edge does::
+edge does.  Every entry point (``handle`` for wire text, ``dispatch``
+for a decoded envelope, ``invoke`` for a typed call) resolves the
+tenant, reads the request, and then runs one fixed pipeline, built
+once per tenant when the tenant is created::
 
-    JSON envelope  (per-tenant JsonEndpoint: request ids, error shape)
-      -> authentication       (TenantRouter: per-key namespaces)
-      -> request validation   (RequestValidator: spec-derived types)
-      -> admission control    (AdmissionController: buckets, queue,
-                               degraded mode)
-      -> [network routing, if a NetEm is configured: the request
-          crosses the (client-region -> resource-region) link and can
-          pay RTT, get lost, or bounce off a partition]
-      -> [chaos / resilience proxies, if configured]
-      -> concurrent dispatch  (ConcurrentEmulator: lock-free pinned
-                               reads, serialized writes, admitted
-                               log)
-      -> the emulator
+    authentication       (TenantRouter: per-key namespaces)
+    envelope parse       (JsonEndpoint.load / parse: bad input answers
+                          SerializationException)
+    request meta + root  (deadline / retry marks; the obs plane's
+                          root span)
+    1. count             (serve.requests{tenant})
+    2. validate          (RequestValidator: spec-derived types)
+    3. classify          (read or write, once)
+    4. admit             (AdmissionController: buckets, queue,
+                          degraded mode)
+    5. region gate or dispatch
+                         [if a NetEm is configured the request crosses
+                          the (client-region -> resource-region) link
+                          and can pay RTT, get lost, or bounce off a
+                          partition]; dispatch is the tenant's step:
+                          ConcurrentEmulator.read / write (lock-free
+                          pinned reads, serialized writes, the attempt
+                          log), a chaos / resilience proxy's invoke,
+                          or a shard worker's RPC stub
+    6. drift offer       (reads, under the obs plane's drift monitor)
+    7. release           (the admission slot)
+    8. envelope          (the tenant's request-id stream)
 
 Every layer speaks :class:`~repro.interpreter.errors.ApiResponse`, so
 a shed, a validation reject and an interpreter error all come back
@@ -26,18 +38,26 @@ paper's bar for the emulator itself (§2).
 
 from __future__ import annotations
 
-import json
-
-from ..interpreter.endpoint import ProtocolError, RequestIdSequence
+from ..interpreter.endpoint import (
+    build_envelope,
+    encode_envelope,
+    JsonEndpoint,
+    ProtocolError,
+    RequestIdSequence,
+)
 from ..interpreter.errors import ApiResponse
 from ..resilience.policy import VirtualClock
 from ..spec import ast
 from .admission import AdmissionController
-from .concurrency import canonical_snapshot, replay, sum_version_stats
+from .concurrency import (
+    ConcurrentEmulator,
+    replay_divergence,
+    sum_version_stats,
+)
 from .deadline import (
     current_request,
+    deadline_at,
     DeadlineError,
-    envelope_meta,
     request_meta,
 )
 from .tenancy import AuthError, Tenant, TenantRouter
@@ -60,98 +80,6 @@ class ConfigError(ValueError):
     with ``network=`` (the ROADMAP "Deferred" entry "Shard × region
     composition").
     """
-
-
-class _GuardedBackend:
-    """Validation + admission in front of one tenant's backend stack."""
-
-    __slots__ = ("frontdoor", "tenant_name", "inner", "_emulator",
-                 "_requests")
-
-    def __init__(self, frontdoor: "FrontDoor", tenant_name: str, inner):
-        self.frontdoor = frontdoor
-        self.tenant_name = tenant_name
-        self.inner = inner
-        self._emulator = None
-
-    def _concurrent(self):
-        """This tenant's concurrency-layer emulator (for the region
-        gate: placement lookups and post-write snapshot publishes)."""
-        if self._emulator is None:
-            tenant = self.frontdoor.router.get(self.tenant_name)
-            if tenant is not None:
-                self._emulator = tenant.emulator
-        return self._emulator
-
-    # -- delegated surface -------------------------------------------------
-
-    def api_names(self) -> list[str]:
-        return self.inner.api_names()
-
-    def supports(self, api: str) -> bool:
-        return self.inner.supports(api)
-
-    def reset(self) -> None:
-        self.inner.reset()
-
-    def read_only(self, api: str) -> bool:
-        return self.inner.read_only(api)
-
-    # -- guarded dispatch --------------------------------------------------
-
-    def invoke(self, api: str, params: dict | None = None) -> ApiResponse:
-        front = self.frontdoor
-        params = params or {}
-        if front.telemetry is not None:
-            # This tenant's counter, resolved on its first request.
-            try:
-                requests = self._requests
-            except AttributeError:
-                requests = self._requests = front.telemetry.metrics.counter(
-                    "serve.requests", tenant=self.tenant_name
-                )
-            requests.inc()
-        rejected = front.validator.validate(api, params)
-        if rejected is not None:
-            return rejected
-        read_only = self.inner.read_only(api)
-        decision = front.admission.admit(
-            self.tenant_name, api, read_only=read_only
-        )
-        if not decision.admitted:
-            return decision.response
-        try:
-            gate = front.region_gate
-            emulator = self._concurrent() if gate is not None else None
-            if gate is not None and emulator is not None:
-                response = gate.route(
-                    self.tenant_name, emulator, api, params, read_only,
-                    lambda: self.inner.invoke(api, params),
-                )
-            else:
-                response = self.inner.invoke(api, params)
-            if read_only and front.telemetry is not None:
-                self._maybe_drift(api, params)
-            return response
-        finally:
-            front.admission.release(self.tenant_name)
-
-    def _maybe_drift(self, api: str, params: dict) -> None:
-        """Offer this read to the drift monitor, when one is attached.
-
-        The probe runs against the tenant's concurrency-wrapped
-        emulator directly — *inside* any chaos proxies — so injected
-        faults can never masquerade as compiled/evaluator divergence.
-        """
-        obs = getattr(self.frontdoor.telemetry, "obs", None)
-        if obs is None or obs.drift is None:
-            return
-        ctx = current_request()
-        if ctx is None:
-            return
-        emulator = self._concurrent()
-        if emulator is not None:
-            obs.drift.maybe_check(ctx, emulator, api, params)
 
 
 class FrontDoor:
@@ -246,15 +174,13 @@ class FrontDoor:
             max_concurrent=max_concurrent, queue_depth=queue_depth,
             allocator=allocator, telemetry=telemetry,
         )
-        self.router = TenantRouter(
-            emulator_factory, max_tenants=max_tenants,
-            require_key=require_key, wrap=wrap,
-            guard=lambda name, backend: _GuardedBackend(
-                self, name, backend
-            ),
-            telemetry=telemetry, seed=seed,
-        )
         self.emulator_factory = emulator_factory
+        self.wrap = wrap
+        self.seed = seed
+        self.router = TenantRouter(
+            self._make_tenant, max_tenants=max_tenants,
+            require_key=require_key,
+        )
         self.network = network
         self.region_gate = None
         if network is not None:
@@ -269,9 +195,40 @@ class FrontDoor:
                 replication_lag=replication_lag,
                 telemetry=telemetry,
             )
-        #: Request ids for envelopes minted before tenant resolution
-        #: (authentication failures).
+        #: Request ids for envelopes no tenant answers: authentication
+        #: failures and malformed request meta.
         self._auth_ids = RequestIdSequence(seed)
+
+    # -- tenants -------------------------------------------------------------
+
+    def _make_tenant(self, name: str, index: int) -> Tenant:
+        """A new tenant: its emulator and dispatch step
+        (:meth:`_backend`), its request-id stream (seeded by arrival
+        order) and its request counter."""
+        emulator, read, write = self._backend(name)
+        requests = None
+        if self.telemetry is not None:
+            metrics = self.telemetry.metrics
+            metrics.counter("serve.tenants").inc()
+            requests = metrics.counter("serve.requests", tenant=name)
+        return Tenant(
+            name=name, emulator=emulator, read=read, write=write,
+            ids=RequestIdSequence(self.seed + index), requests=requests,
+        )
+
+    def _backend(self, name: str) -> tuple:
+        """A new tenant's ``(emulator, read, write)``: a fresh emulator
+        behind its own concurrency layer, whose ``read`` / ``write``
+        the pipeline dispatches to — or, with ``wrap``, the proxy
+        stack's ``invoke`` for both."""
+        emulator = ConcurrentEmulator(
+            self.emulator_factory(), tenant=name, log=self.router.admitted,
+            telemetry=self.telemetry,
+        )
+        if self.wrap is None:
+            return emulator, emulator.read, emulator.write
+        invoke = self.wrap(emulator).invoke
+        return emulator, invoke, invoke
 
     # -- wire surface --------------------------------------------------------
 
@@ -284,6 +241,17 @@ class FrontDoor:
         """Resolve (or create) the tenant for an API key."""
         return self.router.resolve(api_key)
 
+    def handle(self, payload: "str | bytes",
+               api_key: str | None = None) -> str:
+        """Handle one JSON-encoded request; always returns valid JSON.
+
+        Bad UTF-8, bad JSON and bad envelopes answer
+        ``SerializationException``; everything else takes the
+        :meth:`dispatch` path.
+        """
+        ids, response = self._answer(payload, api_key, decode=True)
+        return encode_envelope(response, ids.next())
+
     def dispatch(self, request: dict, api_key: str | None = None) -> dict:
         """Handle one decoded request envelope for one tenant.
 
@@ -292,114 +260,132 @@ class FrontDoor:
         arrival) and ``Retry: true`` (the request is a retry, drawn
         from the tenant's capped retry side-budget under the holistic
         allocator); both propagate through every serving layer on the
-        request-meta context.
+        request-meta context.  A malformed envelope answers
+        ``SerializationException``, as :meth:`handle` does.
         """
-        try:
-            tenant = self.router.resolve(api_key)
-        except AuthError as error:
-            return self._auth_envelope(error)
-        try:
-            response = self._respond(tenant, request)
-        except DeadlineError as error:
-            return self._deadline_envelope(error)
-        return tenant.endpoint.envelope(response)
-
-    def _respond(self, tenant: Tenant, request: dict,
-                 parsed: tuple[str, dict] | None = None) -> ApiResponse:
-        """One request's response from a resolved tenant's stack, with
-        its deadline and retry marks on the request-meta context and,
-        under the obs plane, its root span.  ``parsed`` is the
-        envelope's ``(action, parameters)`` when already parsed.  The
-        caller envelopes the response; a malformed ``DeadlineSeconds``
-        raises :class:`DeadlineError` before anything else runs."""
-        deadline, retry = (
-            envelope_meta(request, self.clock)
-            if isinstance(request, dict) else (None, False)
-        )
-        endpoint = tenant.endpoint
-        action, parameters = (
-            endpoint.parse(request) if parsed is None else parsed
-        )
-        telemetry = self.telemetry
-        obs = None if telemetry is None else getattr(telemetry, "obs", None)
-        if obs is None:
-            if deadline is None and not retry:
-                return endpoint.call(action, parameters)
-            with request_meta(deadline, retry):
-                return endpoint.call(action, parameters)
-        with obs.request(tenant.name, action) as ctx:
-            if deadline is None and not retry:
-                response = endpoint.call(action, parameters)
-            else:
-                with request_meta(deadline, retry):
-                    response = endpoint.call(action, parameters)
-            obs.classify(
-                ctx, "" if response.success else response.error_code
-            )
-        return response
-
-    def handle(self, payload: "str | bytes",
-               api_key: str | None = None) -> str:
-        """Handle one JSON-encoded request; always returns valid JSON.
-
-        The tenant is resolved and the envelope parsed once: the
-        tenant's endpoint decodes the payload (bad UTF-8, bad JSON and
-        bad envelopes answer ``SerializationException``), the request
-        then takes the rest of the :meth:`dispatch` path, and the
-        endpoint's text encoder writes the reply.
-        """
-        try:
-            tenant = self.router.resolve(api_key)
-        except AuthError as error:
-            return json.dumps(self._auth_envelope(error))
-        endpoint = tenant.endpoint
-        try:
-            request = endpoint.load(payload)
-            parsed = endpoint.parse(request)
-        except ProtocolError as error:
-            return json.dumps(endpoint.serialization_error(str(error)))
-        try:
-            response = self._respond(tenant, request, parsed)
-        except DeadlineError as error:
-            return json.dumps(self._deadline_envelope(error))
-        return endpoint.encode(response)
+        ids, response = self._answer(request, api_key, decode=False)
+        return build_envelope(response, ids.next())
 
     def invoke(self, api: str, params: dict | None = None,
                api_key: str | None = None,
                deadline: float | None = None,
                retry: bool = False) -> ApiResponse:
-        """The response-typed path (no JSON envelope), still guarded.
+        """The response-typed path (no JSON envelope), through the same
+        pipeline.
 
         ``deadline`` is relative seconds of remaining client budget
-        (minted absolute here, at arrival); ``retry`` marks the call
-        as drawing from the tenant's retry side-budget.
+        (minted absolute at arrival, as ``DeadlineSeconds`` is);
+        ``retry`` marks the call as drawing from the tenant's retry
+        side-budget.
         """
         try:
             tenant = self.router.resolve(api_key)
         except AuthError as error:
-            return error.to_response()
-        absolute = None
-        if deadline is not None:
-            # A non-positive budget is an already-expired deadline,
-            # not the absence of one — admission sheds it honestly.
-            now = self.clock.now()
-            absolute = now + deadline if deadline > 0 else now
-        obs = getattr(self.telemetry, "obs", None)
+            return self._auth_reject(error)
+        try:
+            return self._respond(tenant, api, params or {}, deadline, retry)
+        except DeadlineError as error:
+            return ApiResponse.fail("InvalidParameterValue", str(error))
+
+    def _answer(self, request, api_key: str | None,
+                decode: bool) -> tuple[RequestIdSequence, ApiResponse]:
+        """One envelope's response, and the request-id stream its
+        envelope draws from: the tenant's, or — when no tenant answers
+        (authentication) or the request meta is malformed — the
+        door's own.  ``decode`` says ``request`` is wire text."""
+        try:
+            tenant = self.router.resolve(api_key)
+        except AuthError as error:
+            return self._auth_ids, self._auth_reject(error)
+        try:
+            if decode:
+                request = JsonEndpoint.load(request)
+            action, parameters = JsonEndpoint.parse(request)
+        except ProtocolError as error:
+            return tenant.ids, ApiResponse.fail(
+                "SerializationException", str(error)
+            )
+        try:
+            response = self._respond(
+                tenant, action, parameters,
+                request.get("DeadlineSeconds"),
+                request.get("Retry") is True,
+            )
+        except DeadlineError as error:
+            return self._auth_ids, ApiResponse.fail(
+                "InvalidParameterValue", str(error)
+            )
+        return tenant.ids, response
+
+    def _respond(self, tenant: Tenant, api: str, params: dict,
+                 seconds: float | None, retry: bool) -> ApiResponse:
+        """One request's response from a resolved tenant's pipeline,
+        with its deadline (``seconds`` of budget left) and retry marks
+        on the request-meta context and, under the obs plane, its root
+        span.  A malformed deadline raises :class:`DeadlineError`
+        before anything else runs."""
+        deadline = deadline_at(seconds, self.clock)
+        telemetry = self.telemetry
+        obs = None if telemetry is None else getattr(telemetry, "obs", None)
         if obs is None:
-            if absolute is None and not retry:
-                return tenant.backend.invoke(api, params)
-            with request_meta(absolute, retry):
-                return tenant.backend.invoke(api, params)
+            if deadline is None and not retry:
+                return self._pipeline(tenant, api, params)
+            with request_meta(deadline, retry):
+                return self._pipeline(tenant, api, params)
         with obs.request(tenant.name, api) as ctx:
-            if absolute is None and not retry:
-                response = tenant.backend.invoke(api, params)
+            if deadline is None and not retry:
+                response = self._pipeline(tenant, api, params)
             else:
-                with request_meta(absolute, retry):
-                    response = tenant.backend.invoke(api, params)
+                with request_meta(deadline, retry):
+                    response = self._pipeline(tenant, api, params)
             obs.classify(
                 ctx, "" if response.success else response.error_code
             )
         return response
+
+    def _pipeline(self, tenant: Tenant, api: str,
+                  params: dict) -> ApiResponse:
+        """Count, validate, classify once, admit, gate or dispatch,
+        offer to the drift monitor, release."""
+        if tenant.requests is not None:
+            tenant.requests.inc()
+        rejected = self.validator.validate(api, params)
+        if rejected is not None:
+            return rejected
+        read_only = tenant.emulator.read_only(api)
+        admission = self.admission
+        decision = admission.admit(tenant.name, api, read_only=read_only)
+        if not decision.admitted:
+            return decision.response
+        try:
+            step = tenant.read if read_only else tenant.write
+            gate = self.region_gate
+            if gate is None:
+                response = step(api, params)
+            else:
+                response = gate.route(
+                    tenant.name, tenant.emulator, api, params, read_only,
+                    lambda: step(api, params),
+                )
+            if read_only and self.telemetry is not None:
+                self._offer_drift(tenant, api, params)
+            return response
+        finally:
+            admission.release(tenant.name)
+
+    def _offer_drift(self, tenant: Tenant, api: str, params: dict) -> None:
+        """Offer this read to the drift monitor, when one is attached.
+
+        The probe runs against the tenant's emulator directly —
+        *inside* any chaos proxies — so injected faults can never
+        masquerade as compiled/evaluator divergence.
+        """
+        obs = getattr(self.telemetry, "obs", None)
+        if obs is None or obs.drift is None:
+            return
+        ctx = current_request()
+        if ctx is not None:
+            obs.drift.maybe_check(ctx, tenant.emulator, api, params)
 
     # -- proofs --------------------------------------------------------------
 
@@ -415,15 +401,15 @@ class FrontDoor:
         """
         mismatches: list[str] = []
         for tenant in self.router.tenants():
-            replica = self.emulator_factory()
-            replay(replica, self.admitted.per_tenant(tenant.name))
-            live = canonical_snapshot(tenant.emulator.snapshot())
-            replayed = canonical_snapshot(replica.snapshot())
-            if live != replayed:
+            diverged = replay_divergence(
+                self.emulator_factory,
+                self.admitted.per_tenant(tenant.name),
+                tenant.emulator.snapshot,
+            )
+            if diverged:
                 mismatches.append(
                     f"tenant {tenant.name}: serial replay diverges from "
-                    f"the concurrent registry "
-                    f"(live {len(live)}B != replay {len(replayed)}B)"
+                    f"the concurrent registry ({diverged})"
                 )
         return (not mismatches), mismatches
 
@@ -435,21 +421,10 @@ class FrontDoor:
             for tenant in self.router.tenants()
         )
 
-    def _deadline_envelope(self, error: DeadlineError) -> dict:
-        return {
-            "ResponseMetadata": {"RequestId": self._auth_ids.next()},
-            "Error": {
-                "Code": "InvalidParameterValue",
-                "Message": str(error),
-            },
-        }
-
-    def _auth_envelope(self, error: AuthError) -> dict:
+    def _auth_reject(self, error: AuthError) -> ApiResponse:
+        """A failed tenant resolution's response, counted."""
         if self.telemetry is not None:
             self.telemetry.metrics.counter(
                 "serve.auth_rejects", code=error.code
             ).inc()
-        return {
-            "ResponseMetadata": {"RequestId": self._auth_ids.next()},
-            "Error": {"Code": error.code, "Message": error.message},
-        }
+        return error.to_response()

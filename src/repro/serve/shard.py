@@ -32,11 +32,11 @@ tenant -> shard hash) and puts a supervising parent in front:
   replay of every tenant's attempts must be **byte-identical** to the
   recovered registry, and any divergence is reported to the
   supervisor and folded into the linearizability verdict.
-- :class:`ShardedFrontDoor` keeps the whole single-process serving
-  stack (envelope, auth, validation, admission) and swaps only the
-  bottom: each tenant's backend is an RPC stub to its owning shard,
-  and the worker encodes each reply's envelope, leaving the parent
-  only the request id to splice in.
+- :class:`ShardedFrontDoor` keeps the front door's one pipeline
+  (auth, envelope, validation, admission) and swaps only each
+  tenant's dispatch step: an RPC stub to its owning shard, whose
+  worker encodes each reply's envelope, leaving the parent only the
+  request id to splice in.
   Requests to a dead shard shed with ``ServiceUnavailable`` + a
   Retry-After hint and a ``ShardUnavailable`` marker (so well-behaved
   clients back off for the failover, not forever), while surviving
@@ -65,11 +65,7 @@ from ..durability.atomic import atomic_write
 from ..durability.snapshot import SnapshotEncoder, registry_diff
 from ..interpreter.compiler import compile_module
 from ..interpreter.emulator import Emulator
-from ..interpreter.endpoint import (
-    EncodedResponse,
-    JsonEndpoint,
-    build_envelope,
-)
+from ..interpreter.endpoint import EncodedResponse, build_envelope
 from ..interpreter.errors import ApiResponse
 from ..resilience.killswitch import (
     KILL_SITES,
@@ -84,15 +80,11 @@ from .concurrency import (
     ConcurrentEmulator,
     dump_jsonl,
     replay,
+    replay_divergence,
     sum_version_stats,
 )
 from .deadline import current_meta, expired_response
-from .frontdoor import (
-    ConfigError,
-    FrontDoor,
-    _GuardedBackend,
-)
-from .tenancy import Tenant, TenantRouter
+from .frontdoor import ConfigError, FrontDoor
 
 SHARD_WAL_NAME = "shard.wal"
 
@@ -1598,12 +1590,12 @@ class ShardSupervisor:
 class _ShardBackend:
     """One tenant's RPC stub to its owning shard worker.
 
-    Looks like a :class:`ConcurrentEmulator` to the serving stack
-    (classification, reset, snapshot) but dispatches over the
-    supervisor's pipe RPC; a reply arrives as the envelope text the
-    worker encoded (an :class:`EncodedResponse`), which the tenant's
-    endpoint returns with the request id spliced in.  When the shard
-    is down, every call sheds
+    The sharded door's dispatch step: it classifies requests locally,
+    with a probe emulator over the same module, and otherwise
+    dispatches over the supervisor's pipe RPC; a reply arrives as the
+    envelope text the worker encoded (an :class:`EncodedResponse`),
+    which the door returns with the request id spliced in.  When the
+    shard is down, every call sheds
     with ``ServiceUnavailable`` + a Retry-After hint and a
     ``ShardUnavailable`` marker, which rides inside the error envelope
     the way admission throttle metadata does — clients back off for
@@ -1615,14 +1607,6 @@ class _ShardBackend:
         self.tenant = tenant
         self.shard = supervisor.shard_for(tenant)
         self._probe = probe  # local emulator, classification only
-
-    # -- classification (local, no RPC) ------------------------------------
-
-    def api_names(self) -> list[str]:
-        return self._probe.api_names()
-
-    def supports(self, api: str) -> bool:
-        return self._probe.supports(api)
 
     def read_only(self, api: str) -> bool:
         return self._probe.read_only(api)
@@ -1692,49 +1676,19 @@ class _ShardBackend:
         return snapshot
 
 
-class ShardTenantRouter(TenantRouter):
-    """A :class:`TenantRouter` whose tenants dispatch to shard workers.
-
-    Keeps the resolution/auth/guard surface of the base router; only
-    ``_make_tenant`` changes — the backend is an RPC stub placed by
-    the stable tenant -> shard hash instead of an in-process
-    :class:`ConcurrentEmulator`.
-    """
-
-    def __init__(self, supervisor: ShardSupervisor, probe, **kwargs):
-        super().__init__(emulator_factory=None, **kwargs)
-        self.supervisor = supervisor
-        self.probe = probe
-
-    def _make_tenant(self, name: str) -> Tenant:
-        backend = _ShardBackend(self.supervisor, name, self.probe)
-        guarded = (
-            backend if self.guard is None else self.guard(name, backend)
-        )
-        endpoint = JsonEndpoint(
-            backend=guarded,
-            seed=self.seed + len(self._tenants),
-            telemetry=self.telemetry,
-        )
-        return Tenant(
-            name=name, emulator=backend, backend=guarded,
-            endpoint=endpoint,
-        )
-
-
 class ShardedFrontDoor(FrontDoor):
     """The front door, fanned out over shard worker processes.
 
-    The envelope/auth/validation/admission layers are unchanged; the
-    per-tenant backend routes to the owning shard over RPC.  Supplies
-    its own :meth:`verify_linearizable` (merged per-shard attempt logs,
-    replayed serially, compared byte-for-byte against RPC-fetched
-    shard snapshots — with recovery self-check failures folded in) and
-    :meth:`mvcc_stats` (worker version accounting, merged), overriding
-    the in-process ones every load driver calls.  The supervisor runs with its default heartbeat
-    miss policy and the module's ``RPC_TIMEOUT`` /
-    ``HEARTBEAT_INTERVAL``; not-found codes come from the probe
-    emulator.
+    The door's pipeline is unchanged; only each tenant's dispatch step
+    differs (:meth:`_backend`): it routes to the owning shard over
+    RPC.  Supplies its own :meth:`verify_linearizable` (merged
+    per-shard attempt logs, replayed serially, compared byte-for-byte
+    against RPC-fetched shard snapshots — with recovery self-check
+    failures folded in) and :meth:`mvcc_stats` (worker version
+    accounting, merged), overriding the in-process ones every load
+    driver calls.  The supervisor runs with its default heartbeat miss
+    policy and the module's ``RPC_TIMEOUT`` / ``HEARTBEAT_INTERVAL``;
+    not-found codes come from the probe emulator.
     """
 
     def __init__(
@@ -1765,8 +1719,9 @@ class ShardedFrontDoor(FrontDoor):
                 "single-process FrontDoor."
             )
         super().__init__(module, emulator_factory, **kwargs)
-        probe = emulator_factory()
-        base = self.router
+        #: A local emulator over the module: it classifies requests
+        #: and names the not-found codes; it serves nothing.
+        self._probe = probe = emulator_factory()
         self.supervisor = ShardSupervisor(
             module,
             notfound_codes=dict(getattr(probe, "notfound_codes", {})),
@@ -1774,24 +1729,13 @@ class ShardedFrontDoor(FrontDoor):
             data_dir=data_dir,
             clock=self.clock,
             telemetry=self.telemetry,
-            seed=base.seed,
+            seed=self.seed,
             snapshot_interval=snapshot_interval,
             fsync=fsync,
             kill_schedules=kill_schedules,
             retry_after=retry_after,
             heartbeat=heartbeat,
             auto_restart=auto_restart,
-        )
-        self.router = ShardTenantRouter(
-            supervisor=self.supervisor,
-            probe=probe,
-            max_tenants=base.max_tenants,
-            require_key=base.require_key,
-            guard=lambda name, backend: _GuardedBackend(
-                self, name, backend
-            ),
-            telemetry=self.telemetry,
-            seed=base.seed,
         )
         if self.allocator is not None:
             # Shard-health-aware fairness: the allocator learns the
@@ -1803,6 +1747,12 @@ class ShardedFrontDoor(FrontDoor):
             self.supervisor.health_listeners.append(
                 self.allocator.set_shard_health
             )
+
+    def _backend(self, name: str) -> tuple:
+        """A new tenant's ``(emulator, read, write)``: an RPC stub to
+        the shard the stable tenant -> shard hash places it on."""
+        stub = _ShardBackend(self.supervisor, name, self._probe)
+        return stub, stub.invoke, stub.invoke
 
     # -- merged wire surface -----------------------------------------------
 
@@ -1820,18 +1770,17 @@ class ShardedFrontDoor(FrontDoor):
         for record in self.supervisor.admitted_records():
             by_tenant.setdefault(record["tenant"], []).append(record)
         for tenant in sorted(by_tenant):
-            replica = self.emulator_factory()
-            replay(replica, by_tenant[tenant])
             shard = self.supervisor.shard_for(tenant)
-            live = self.supervisor.snapshot(shard, tenant)
-            if live is None:
+            diverged = replay_divergence(
+                self.emulator_factory, by_tenant[tenant],
+                lambda: self.supervisor.snapshot(shard, tenant),
+            )
+            if diverged is None:
                 mismatches.append(
                     f"tenant {tenant}: shard {shard} unavailable for "
                     "the linearizability snapshot"
                 )
-                continue
-            replayed = canonical_snapshot(replica.snapshot())
-            if replayed != canonical_snapshot(live):
+            elif diverged:
                 mismatches.append(
                     f"tenant {tenant}: serial replay of the merged "
                     f"shard-{shard} attempt log diverges from the "

@@ -2,14 +2,15 @@
 
 Real cloud front doors scope every request to the calling account;
 one tenant's resources, faults and throttles must never be visible to
-another.  :class:`TenantRouter` maps each API key to its own backend
-instance — a fresh emulator over the *shared* compiled module (the
-compiler's closures are stateless, so N tenants cost N registries,
-not N compilations) — plus the per-tenant serving state: the
-concurrency layer (published versions, writer mutex), the chaos
-wrapper (each tenant gets its own fault schedule lane, so one tenant's
-bad weather stays theirs) and the JSON endpoint with its deterministic
-request-id stream.
+another.  :class:`TenantRouter` maps each API key to its own
+:class:`Tenant`, made by its front door on the key's first use: a
+fresh emulator over the *shared* compiled module (the compiler's
+closures are stateless, so N tenants cost N registries, not N
+compilations) behind its own concurrency layer (published versions,
+writer mutex), the dispatch step the door's pipeline ends in (the
+chaos wrapper, when there is one, gives each tenant its own fault
+schedule lane, so one tenant's bad weather stays theirs) and its
+deterministic request-id stream.
 
 Authentication is deliberately minimal (this is an emulator, not an
 IAM): a key either resolves or fails with the cloud's own codes —
@@ -23,9 +24,9 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 
-from ..interpreter.endpoint import JsonEndpoint
+from ..interpreter.endpoint import RequestIdSequence
 from ..interpreter.errors import ApiResponse
-from .concurrency import AdmittedLog, ConcurrentEmulator
+from .concurrency import AdmittedLog
 
 #: Cloud-style authentication failure codes.
 MISSING_TOKEN = "MissingAuthenticationToken"
@@ -48,43 +49,45 @@ class AuthError(Exception):
 
 @dataclass
 class Tenant:
-    """One tenant's isolated serving state."""
+    """One tenant's isolated serving state.
+
+    ``emulator`` is the tenant's authoritative emulator (its
+    :class:`~repro.serve.concurrency.ConcurrentEmulator`, or a shard
+    RPC stub): it classifies each request and backs the region gate,
+    the drift probe and snapshots.  ``read`` / ``write`` are the
+    dispatch step for each class of request — ``emulator.read`` /
+    ``emulator.write`` in process, or one ``invoke`` for both when a
+    proxy stack or a shard stub stands in front.
+    """
 
     name: str
-    emulator: ConcurrentEmulator
-    backend: object           # the full stack the endpoint dispatches to
-    endpoint: JsonEndpoint
+    emulator: object
+    read: object
+    write: object
+    #: The request-id stream this tenant's envelopes draw from.
+    ids: RequestIdSequence
+    #: This tenant's ``serve.requests`` counter (None without
+    #: telemetry).
+    requests: object = None
 
 
 class TenantRouter:
-    """Resolves API keys to isolated per-tenant backends.
+    """Resolves API keys to isolated per-tenant serving state.
 
-    ``emulator_factory`` builds one fresh base
-    :class:`~repro.interpreter.Emulator` per tenant (typically
-    ``build.make_backend`` with a shared compiled module);
-    ``wrap`` optionally interposes a proxy stack (chaos, resilience)
-    *outside* the concurrency layer.  ``guard`` is installed by the
-    front door: it wraps the outermost backend with validation and
-    admission control before the endpoint sees it.
+    ``make_tenant(name, index)`` builds the tenant for a key's first
+    request; ``index`` is how many tenants exist before it, so each
+    tenant's request-id seed is a pure function of arrival order.
     """
 
     def __init__(
         self,
-        emulator_factory,
+        make_tenant,
         max_tenants: int = 32,
         require_key: bool = False,
-        wrap=None,
-        guard=None,
-        telemetry=None,
-        seed: int = 1,
     ):
-        self.emulator_factory = emulator_factory
+        self.make_tenant = make_tenant
         self.max_tenants = max_tenants
         self.require_key = require_key
-        self.wrap = wrap
-        self.guard = guard
-        self.telemetry = telemetry
-        self.seed = seed
         self._tenants: dict[str, Tenant] = {}
         self._lock = threading.Lock()
         #: One commit-ordered log shared by every tenant (records are
@@ -116,30 +119,9 @@ class TenantRouter:
                     "The security token included in the request is "
                     "invalid (tenant table is full).",
                 )
-            tenant = self._make_tenant(api_key)
+            tenant = self.make_tenant(api_key, len(self._tenants))
             self._tenants[api_key] = tenant
-            if self.telemetry is not None:
-                self.telemetry.metrics.counter("serve.tenants").inc()
             return tenant
-
-    def _make_tenant(self, name: str) -> Tenant:
-        concurrent = ConcurrentEmulator(
-            self.emulator_factory(), tenant=name, log=self.admitted,
-            telemetry=self.telemetry,
-        )
-        backend = concurrent if self.wrap is None else self.wrap(concurrent)
-        guarded = (
-            backend if self.guard is None else self.guard(name, backend)
-        )
-        endpoint = JsonEndpoint(
-            backend=guarded,
-            seed=self.seed + len(self._tenants),
-            telemetry=self.telemetry,
-        )
-        return Tenant(
-            name=name, emulator=concurrent, backend=guarded,
-            endpoint=endpoint,
-        )
 
     # -- introspection -------------------------------------------------------
 

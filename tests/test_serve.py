@@ -5,6 +5,8 @@ import json
 import pytest
 
 from repro.core import build_learned_emulator
+from repro.interpreter.emulator import Emulator
+from repro.interpreter.endpoint import JsonEndpoint
 from repro.obs import ObsPlane
 from repro.resilience.chaos import ChaosEngine, ChaosProxy, HOSTILE_PROFILE
 from repro.resilience.policy import VirtualClock
@@ -17,6 +19,7 @@ from repro.serve import (
     FrontDoor,
     LoadGenerator,
     OVERLOADED,
+    ShardedFrontDoor,
     THROTTLED,
 )
 from repro.serve.admission import TenantMeter
@@ -30,6 +33,25 @@ def build():
 
 def make_front(build, **kwargs):
     return FrontDoor(build.module, build.make_backend, **kwargs)
+
+
+#: The door's three entry points.
+ENTRY_POINTS = ("handle", "dispatch", "invoke")
+
+
+def send(front, entry, api, params, api_key="t"):
+    """One request through one entry point: ``(error code or "",
+    reply fields)``."""
+    if entry == "invoke":
+        response = front.invoke(api, params, api_key=api_key)
+        return response.error_code, response.data
+    envelope = {"Action": api, "Parameters": params}
+    if entry == "handle":
+        body = json.loads(front.handle(json.dumps(envelope),
+                                       api_key=api_key))
+    else:
+        body = front.dispatch(envelope, api_key=api_key)
+    return body.get("Error", {}).get("Code", ""), body
 
 
 class TestTokenBucket:
@@ -185,18 +207,63 @@ class TestWireHandle:
 
     @pytest.mark.parametrize("payload", [
         b"\xff\xfe{}", "{not json", json.dumps([1]), json.dumps({}),
+        json.dumps({"Parameters": {}}),
+        json.dumps({"Action": "X", "Parameters": "oops"}),
     ])
     def test_bad_envelopes_answer_serialization_exception(self, build,
                                                           payload):
-        telemetry = Telemetry(service="ec2")
-        ObsPlane(telemetry, seed=3, sample_keep=1.0)
-        front = make_front(build, telemetry=telemetry)
-        reply = json.loads(front.handle(payload, api_key="t"))
-        assert reply["Error"]["Code"] == "SerializationException"
-        assert reply["ResponseMetadata"]["RequestId"]
-        assert not [span for span in telemetry.tracer.walk()
-                    if span.name == "serve.request"]
+        """``handle`` answers a bad payload, and ``dispatch`` the same
+        envelope decoded, with ``SerializationException`` and no obs
+        root span."""
+        replies = []
+        for entry in ("handle", "dispatch"):
+            telemetry = Telemetry(service="ec2")
+            ObsPlane(telemetry, seed=3, sample_keep=1.0)
+            front = make_front(build, telemetry=telemetry)
+            if entry == "handle":
+                replies.append(json.loads(front.handle(payload, api_key="t")))
+            else:
+                try:
+                    request = json.loads(payload)
+                except ValueError:  # not JSON: only handle can see it
+                    continue
+                replies.append(front.dispatch(request, api_key="t"))
+            assert not [span for span in telemetry.tracer.walk()
+                        if span.name == "serve.request"]
+        for reply in replies:
+            assert reply["Error"]["Code"] == "SerializationException"
+            assert reply["ResponseMetadata"]["RequestId"]
+        if len(replies) == 2:
+            assert replies[0] == replies[1]
 
+class TestEntryPoints:
+    """``handle``, ``dispatch`` and ``invoke`` run one pipeline, so a
+    client cannot tell them apart except by the envelope."""
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_auth_rejects_are_counted(self, build, entry):
+        telemetry = Telemetry(service="ec2")
+        front = make_front(build, telemetry=telemetry, require_key=True)
+        code, __ = send(front, entry, "DescribeVpcs", {}, api_key=None)
+        assert code == "MissingAuthenticationToken"
+        assert telemetry.metrics.counter(
+            "serve.auth_rejects", code="MissingAuthenticationToken"
+        ).value == 1
+
+    def test_entry_points_open_the_same_spans(self, build):
+        names = {}
+        for entry in ENTRY_POINTS:
+            telemetry = Telemetry(service="ec2")
+            front = make_front(build, telemetry=telemetry)
+            code, reply = send(front, entry, "CreateVpc",
+                               {"CidrBlock": "10.0.0.0/16"})
+            assert code == ""
+            code, __ = send(front, entry, "DescribeVpcs",
+                            {"VpcId": reply["id"]})
+            assert code == ""
+            names[entry] = {span.name for span in telemetry.tracer.walk()}
+        assert names["handle"] == names["dispatch"] == names["invoke"]
+        assert "endpoint.request" not in names["handle"]
 
 class TestOncePerRequest:
     """Each per-request job on the serve path happens once."""
@@ -221,17 +288,51 @@ class TestOncePerRequest:
                         "Parameters": {"VpcId": reply["id"]}}, api_key="t")
         assert calls == ["t", "t"]
 
+    def test_classifies_once(self, build, monkeypatch, tmp_path):
+        """One ``Emulator.read_only`` call per request in the door's
+        process, in process and sharded (a shard worker classifies
+        again in its own process, over its own compiled module)."""
+        read_only = Emulator.read_only
+        calls = []
+
+        def counting(emulator, api):
+            calls.append(api)
+            return read_only(emulator, api)
+
+        monkeypatch.setattr(Emulator, "read_only", counting)
+        doors = (
+            lambda: make_front(build),
+            lambda: ShardedFrontDoor(build.module, build.make_backend,
+                                     shards=2, data_dir=tmp_path),
+        )
+        for make in doors:
+            front = make()
+            try:
+                for entry in ENTRY_POINTS:
+                    del calls[:]
+                    code, reply = send(front, entry, "CreateVpc",
+                                       {"CidrBlock": "10.0.0.0/16"})
+                    assert code == ""
+                    assert calls == ["CreateVpc"]
+                    code, __ = send(front, entry, "DescribeVpcs",
+                                    {"VpcId": reply["id"]})
+                    assert code == ""
+                    assert calls == ["CreateVpc", "DescribeVpcs"]
+            finally:
+                close = getattr(front, "close", None)
+                if close is not None:
+                    close()
+
     def test_handle_parses_the_envelope_once(self, build, monkeypatch):
         front = make_front(build)
-        endpoint = front.router.resolve("t").endpoint
-        parse = endpoint.parse
+        parse = JsonEndpoint.parse
         calls = []
 
         def counting(request):
             calls.append(request)
             return parse(request)
 
-        monkeypatch.setattr(endpoint, "parse", counting)
+        monkeypatch.setattr(JsonEndpoint, "parse", staticmethod(counting))
         front.handle(json.dumps({
             "Action": "CreateVpc",
             "Parameters": {"CidrBlock": "10.0.0.0/16"},
