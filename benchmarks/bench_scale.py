@@ -7,28 +7,13 @@ dependency check scanning a large child list, and the end-to-end
 build-path speedup from wave-parallel extraction + prompt caching.
 """
 
-import json
-import os
 import statistics
 import time
-from pathlib import Path
 
 from repro.core import build_learned_emulator
 from repro.llm import PromptCache
 
 FLEET = 500
-
-
-def _best_of(fn, repeats=2):
-    """(elapsed, result) of the fastest of ``repeats`` runs of ``fn``."""
-    best = None
-    for __ in range(repeats):
-        start = time.perf_counter()
-        result = fn()
-        elapsed = time.perf_counter() - start
-        if best is None or elapsed < best[0]:
-            best = (elapsed, result)
-    return best
 
 
 def _populated_backend(build):
@@ -172,54 +157,46 @@ def test_parallel_warm_build_speedup(bench_metrics):
     assert speedup >= 2.0, f"build path only {speedup:.2f}x"
 
 
-def _warm_build_baseline() -> float:
-    """The recorded ``build_parallel_warm_s`` gauge, if present."""
-    target = Path(os.environ.get("REPRO_BENCH_DIR", "."))
-    try:
-        baselines = json.loads(
-            (target / "BENCH_baseline.json").read_text()
-        )
-        return float(baselines["scale"]["build_parallel_warm_s"]["value"])
-    except (OSError, ValueError, KeyError, TypeError):
-        return 0.0
-
-
 def test_journaled_build_overhead(bench_metrics, tmp_path):
     """Crash-safe journaling must cost <10% over the warm build.
 
     The journal fsyncs one CRC-framed record per completed resource,
     correction, and alignment round; that durability is only cheap
     enough to leave on by default if the journaled build stays within
-    110% of the parallel + warm-cache build it protects
-    (``build_parallel_warm_s`` in ``BENCH_baseline.json``; same-process
-    measurement is the fallback reference when no baseline is
-    recorded yet).
+    110% of the parallel + warm-cache build it protects.  Both builds
+    are timed in alternating pairs in this run, so host speed moves
+    both sides alike; the gate is the median pair's ratio.  One build
+    swings by up to 20% on a shared 2-vCPU host, so it takes 25 pairs
+    for the median to stay within a few percent of the true overhead.
     """
     latency = 0.01
     cache = PromptCache()
-    build_learned_emulator("ec2", parallel=8, llm_cache=cache,
-                           llm_latency=latency)  # warm the cache
-    t_plain, __ = _best_of(lambda: build_learned_emulator(
-        "ec2", parallel=8, llm_cache=cache, llm_latency=latency),
-        repeats=5)
     counter = iter(range(100))
+    builds = {}
+
+    def plain():
+        build_learned_emulator(
+            "ec2", parallel=8, llm_cache=cache, llm_latency=latency)
 
     def journaled():
-        return build_learned_emulator(
+        builds["journaled"] = build_learned_emulator(
             "ec2", parallel=8, llm_cache=cache, llm_latency=latency,
             journal=tmp_path / f"journal-{next(counter)}",
         )
 
-    t_journaled, build = _best_of(journaled, repeats=5)
-    assert build.durability.journal_appends > 0
+    plain()  # warm the cache
+    ratios, journaled_s, plain_s = _paired_ratios(journaled, plain, pairs=25)
+    assert builds["journaled"].durability.journal_appends > 0
 
-    reference = _warm_build_baseline() or t_plain
-    overhead = t_journaled / reference - 1.0
+    overhead = statistics.median(ratios) - 1.0
+    t_plain = statistics.median(plain_s)
+    t_journaled = statistics.median(journaled_s)
     print(f"\nBuild: plain {t_plain:.3f}s, journaled {t_journaled:.3f}s "
-          f"(+{overhead * 100:.1f}% vs {reference:.3f}s reference)")
+          f"(pair ratios {', '.join(f'{r:.3f}' for r in ratios)}; "
+          f"median {overhead * 100:+.1f}%)")
     bench_metrics.gauge("build_journaled_s", round(t_journaled, 4))
     bench_metrics.gauge("journal_overhead_pct", round(overhead * 100, 2))
     assert overhead < 0.10, (
-        f"journaling costs {overhead * 100:.1f}% over the warm-build "
-        f"reference ({reference:.3f}s)"
+        f"journaling costs {overhead * 100:.1f}% over the warm build "
+        f"(median of pairs, plain {t_plain:.3f}s)"
     )

@@ -46,7 +46,10 @@ trace as ``registry.version``.
 from __future__ import annotations
 
 import json
+import pickle
 import threading
+from collections.abc import Iterable, Iterator
+from itertools import islice
 from pathlib import Path
 from time import perf_counter
 
@@ -72,6 +75,16 @@ class AdmittedLog:
     failed attempt must replay (and re-fail) for the allocator counters
     to come back exactly; :func:`replay` re-invokes the records.
 
+    Each attempt is held as one pickled ``(tenant, api, params)``
+    ``bytes``, its seq implied by its position.  The cycle collector
+    never tracks a ``bytes`` object, so a log that grows by one entry
+    per write gives it nothing to count or scan; on a write-heavy serve
+    path, a record dict per write set off most of its collections.
+    Packing deep-copies the params, so a caller mutating its dict after
+    the write cannot change the log.  Records are decoded only on the
+    cold paths that read them: :meth:`stream` (one at a time),
+    :attr:`records`, :meth:`per_tenant` and :meth:`dump_jsonl`.
+
     In memory by default.  Given ``path``, every record is also framed
     on disk with the build journal's CRC codec, and reopening the file
     resumes the log: a torn tail (a crash mid-append, the
@@ -81,15 +94,17 @@ class AdmittedLog:
 
     def __init__(self, path: "str | Path | None" = None,
                  fsync: bool = False):
-        self._records: list[dict] = []
+        self._packed: list[bytes] = []
         self._lock = threading.Lock()
         self._writer = None
         self.dropped = 0
         if path is not None:
             scan = scan_records(path)
             self.dropped = scan.dropped
-            self._records = [
-                {**record, "params": decode_value(record["params"])}
+            # The scan keeps a valid prefix, so positions are the seqs.
+            self._packed = [
+                _pack(record["tenant"], record["api"],
+                      decode_value(record["params"]))
                 for record in scan.records
             ]
             self._writer = JournalWriter(
@@ -99,43 +114,55 @@ class AdmittedLog:
 
     def append(self, tenant: str, api: str, params: dict | None) -> int:
         """Log one attempt about to dispatch; returns its seq."""
+        params = params or {}
+        packed = _pack(tenant, api, params)
         with self._lock:
-            seq = len(self._records) + 1
-            record = {
-                "seq": seq,
-                "tenant": tenant,
-                "api": api,
-                "params": dict(params or {}),
-            }
+            seq = len(self._packed) + 1
             if self._writer is not None:
-                self._writer.append(
-                    {**record, "params": encode_value(record["params"])}
-                )
-            self._records.append(record)
+                self._writer.append({
+                    "seq": seq, "tenant": tenant, "api": api,
+                    "params": encode_value(params),
+                })
+            self._packed.append(packed)
         return seq
+
+    def stream(self, tenant: str | None = None) -> Iterator[dict]:
+        """The records logged so far (``tenant``'s only, if given),
+        decoded one at a time in seq order."""
+        with self._lock:
+            count = len(self._packed)
+        for seq, packed in enumerate(islice(self._packed, count), 1):
+            owner, api, params = pickle.loads(packed)
+            if tenant is None or owner == tenant:
+                yield {"seq": seq, "tenant": owner, "api": api,
+                       "params": params}
 
     @property
     def records(self) -> list[dict]:
-        with self._lock:
-            return list(self._records)
+        return list(self.stream())
 
     def per_tenant(self, tenant: str) -> list[dict]:
-        return [r for r in self.records if r["tenant"] == tenant]
+        return list(self.stream(tenant))
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._records)
+            return len(self._packed)
 
     def dump_jsonl(self, path: "str | Path") -> Path:
         """Write the log as JSONL (the CI stress job's artifact)."""
-        return dump_jsonl(self.records, path)
+        return dump_jsonl(self.stream(), path)
 
     def close(self) -> None:
         if self._writer is not None:
             self._writer.close()
 
 
-def dump_jsonl(records: list[dict], path: "str | Path") -> Path:
+def _pack(tenant: str, api: str, params: dict) -> bytes:
+    """One attempt as :class:`AdmittedLog` holds it."""
+    return pickle.dumps((tenant, api, params), pickle.HIGHEST_PROTOCOL)
+
+
+def dump_jsonl(records: Iterable[dict], path: "str | Path") -> Path:
     """Write attempt records as JSONL, one sorted-key object a line."""
     target = Path(path)
     with open(target, "w", encoding="utf-8") as handle:

@@ -394,7 +394,8 @@ class FrontDoor:
 
         For every tenant: build a fresh emulator from the front door's
         own factory, replay that tenant's admitted write attempts in
-        log order, and compare canonical snapshots byte-for-byte.  A
+        log order (decoded one at a time, so the check never holds the
+        decoded log), and compare canonical snapshots byte-for-byte.  A
         lost, duplicated, torn or re-ordered mutation anywhere in a
         concurrent run shows up as a diff (IDs, state values and
         allocator counters are all in the snapshot).
@@ -403,7 +404,7 @@ class FrontDoor:
         for tenant in self.router.tenants():
             diverged = replay_divergence(
                 self.emulator_factory,
-                self.admitted.per_tenant(tenant.name),
+                self.admitted.stream(tenant.name),
                 tenant.emulator.snapshot,
             )
             if diverged:

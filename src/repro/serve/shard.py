@@ -257,7 +257,7 @@ class _Pipe:
 
 @dataclass
 class ShardConfig:
-    """Everything one worker needs, picklable across ``spawn``.
+    """Everything one worker needs: the first frame on its first pipe.
 
     The spec travels parsed: unpickling ``module`` in the worker costs
     a tenth of parsing the spec text again.
@@ -413,7 +413,9 @@ class _ShardWorker:
         # temp file of the snapshot it was replacing.
         for stale in self.data_dir.glob(".tenant-*.snapshot.json.tmp.*"):
             stale.unlink(missing_ok=True)
-        records = self.log.records
+        by_tenant: dict[str, list[dict]] = {}
+        for record in self.log.stream():
+            by_tenant.setdefault(record["tenant"], []).append(record)
         snapshots: dict[str, dict] = {}
         for path in sorted(self.data_dir.glob("tenant-*.snapshot.json")):
             try:
@@ -423,13 +425,10 @@ class _ShardWorker:
             tenant = payload.get("tenant")
             if isinstance(tenant, str):
                 snapshots[tenant] = payload["snapshot"]
-        tenants = sorted(
-            set(snapshots) | {r["tenant"] for r in records}
-        )
         reports = []
-        for tenant in tenants:
+        for tenant in sorted(set(snapshots) | set(by_tenant)):
             concurrent = self._tenant(tenant)
-            mine = [r for r in records if r["tenant"] == tenant]
+            mine = by_tenant.get(tenant, [])
             snapshot = snapshots.get(tenant) or concurrent.snapshot()
             replayed = concurrent.recover(snapshot, mine)
             control = self._fresh()
@@ -590,8 +589,9 @@ def _serve(worker: _ShardWorker, message: dict) -> dict:
     return {"id": mid, "ok": False, "error": f"unknown op {op!r}"}
 
 
-def _worker_main(config: ShardConfig, socks: list) -> None:
-    """Child-process entry: recover, say hello, serve until told not to.
+def _worker_main(socks: list) -> None:
+    """Child-process entry: read the config, recover, say hello, serve
+    until told not to.
 
     One ``select.poll`` loop serves every pipe of the shard on this
     one thread, so requests run one at a time in the order their frames
@@ -605,11 +605,14 @@ def _worker_main(config: ShardConfig, socks: list) -> None:
     pipes = [_Pipe(sock) for sock in socks]
     hello_pipe = pipes[0]
     try:
+        config = hello_pipe.recv()["config"]
         worker = _ShardWorker(config)
+    except EOFError:
+        os._exit(1)  # the parent went away before sending the config
     except Exception as error:  # startup is the one place we report
         try:
             hello_pipe.send({
-                "type": "hello", "shard": config.index, "ok": False,
+                "type": "hello", "ok": False,
                 "error": f"{type(error).__name__}: {error}",
             })
         except OSError:
@@ -1074,7 +1077,18 @@ class ShardSupervisor:
         return process, pipes, self._hello(index, generation, process, pipes)
 
     def _start(self, index: int, generation: int):
-        """Spawn one worker and place it; its hello is still to come."""
+        """Spawn one worker, send its config and place it; its hello is
+        still to come.
+
+        The config (about 100 KB with the parsed ec2 spec) goes as the
+        first frame on the worker's first pipe, not inside spawn's
+        pickled process object: spawn writes that object into a 64 KB
+        OS pipe it holds both ends of until the write completes, so a
+        worker dying before it read the object blocked
+        ``process.start()`` forever.  A socket pair buffers the whole
+        frame, so the send does not wait for the worker and workers
+        still start side by side; a dead worker fails the send, and
+        the hello wait reports it."""
         config = ShardConfig(
             index=index,
             module=self.module,
@@ -1088,7 +1102,7 @@ class ShardSupervisor:
         pairs = [socket.socketpair() for __ in range(PIPES_PER_SHARD)]
         process = self._ctx.Process(
             target=_worker_main,
-            args=(config, [child for __, child in pairs]),
+            args=([child for __, child in pairs],),
             name=f"repro-shard-{index}-g{generation}", daemon=True,
         )
         pipes = []
@@ -1103,6 +1117,10 @@ class ShardSupervisor:
             finally:
                 for __, child in pairs:
                     child.close()
+            try:
+                pipes[0].send({"config": config})
+            except OSError:
+                pass  # the worker died first; _hello reports it
             placement = self._placement
             if placement is not None:
                 with _Placement.lock:

@@ -1,5 +1,6 @@
 """Tests for the hardened concurrent serving layer (repro.serve)."""
 
+import gc
 import json
 
 import pytest
@@ -23,6 +24,7 @@ from repro.serve import (
     THROTTLED,
 )
 from repro.serve.admission import TenantMeter
+from repro.serve.concurrency import RESET
 from repro.telemetry import Telemetry
 
 
@@ -584,6 +586,92 @@ class TestAdmittedLog:
         lines = target.read_text().splitlines()
         assert len(lines) == 2
         assert json.loads(lines[1])["tenant"] == "b"
+
+    def test_records_come_back_as_they_went_in(self, tmp_path):
+        """Tuples, sets, non-string keys and bytes keep their types,
+        and a reset logs empty params, in every read of the log."""
+        params = {
+            "Tags": ("a", "b"), "Zones": {"z1", "z2"},
+            "Ports": {80: "http"}, "Blob": b"\x00\x01",
+            "Nested": {"List": [1, (2, 3)]},
+        }
+        log = AdmittedLog()
+        assert log.append("a", "CreateVpc", params) == 1
+        assert log.append("a", RESET, None) == 2
+        assert log.append("b", "DeleteVpc", {"VpcId": "vpc-1"}) == 3
+        expected = [
+            {"seq": 1, "tenant": "a", "api": "CreateVpc",
+             "params": params},
+            {"seq": 2, "tenant": "a", "api": RESET, "params": {}},
+            {"seq": 3, "tenant": "b", "api": "DeleteVpc",
+             "params": {"VpcId": "vpc-1"}},
+        ]
+        assert log.records == expected
+        assert type(log.records[0]["params"]["Tags"]) is tuple
+        assert log.per_tenant("a") == expected[:2]
+        assert log.per_tenant("b") == expected[2:]
+        assert log.per_tenant("c") == []
+        assert len(log) == 3
+
+        # The JSONL dump is what json.dumps makes of the same records.
+        dumpable = AdmittedLog()
+        dumpable.append("a", "CreateVpc", {"Tags": ("a", "b")})
+        dumpable.append("a", RESET, None)
+        target = dumpable.dump_jsonl(tmp_path / "admitted.jsonl")
+        assert target.read_text() == "".join(
+            json.dumps(record, sort_keys=True) + "\n"
+            for record in [
+                {"seq": 1, "tenant": "a", "api": "CreateVpc",
+                 "params": {"Tags": ("a", "b")}},
+                {"seq": 2, "tenant": "a", "api": RESET, "params": {}},
+            ]
+        )
+
+    def test_mutating_params_after_append_leaves_the_log(self):
+        """The log keeps a deep copy: neither the caller's dict nor a
+        record read back can change what replay will see."""
+        params = {"CidrBlock": "10.0.0.0/16",
+                  "Tags": [{"Key": "k", "Value": "v"}]}
+        log = AdmittedLog()
+        log.append("a", "CreateVpc", params)
+        params["CidrBlock"] = "10.9.0.0/16"
+        params["Tags"][0]["Value"] = "changed"
+        params["Tags"].append({})
+        log.records[0]["params"]["Tags"].clear()
+        assert log.records[0]["params"] == {
+            "CidrBlock": "10.0.0.0/16",
+            "Tags": [{"Key": "k", "Value": "v"}],
+        }
+
+    def test_writes_leave_nothing_for_the_cycle_collector(self, build):
+        """With the collector off, logged writes do not raise the
+        young-generation count: each attempt is kept as bytes, which
+        the collector never tracks.  A record dict and a params copy
+        per write read 2 per write."""
+        emulator = ConcurrentEmulator(build.make_backend(),
+                                      log=AdmittedLog())
+        vpc = emulator.write(
+            "CreateVpc", {"CidrBlock": "10.0.0.0/16"}
+        ).data["id"]
+
+        def toggle(writes):
+            for step in range(writes):
+                assert emulator.write("ModifyVpcAttribute", {
+                    "VpcId": vpc, "EnableDnsHostnames": step % 2 == 0,
+                }).success
+
+        writes = 1_000
+        gc.collect()
+        gc.disable()
+        try:
+            toggle(100)  # warm up
+            before = gc.get_count()[0]
+            toggle(writes)
+            grown = gc.get_count()[0] - before
+        finally:
+            gc.enable()
+        assert len(emulator.log) == 1 + 100 + writes
+        assert grown < 0.5 * writes, grown / writes
 
 
 class TestConcurrentSoak:

@@ -18,6 +18,7 @@ import time
 import pytest
 
 from repro.core import build_learned_emulator
+from repro.durability.journal import scan_records
 from repro.durability.snapshot import (
     SnapshotEncoder,
     snapshot_version,
@@ -42,10 +43,11 @@ from repro.serve import (
     parse_kill_schedule,
     shard_for,
 )
-from repro.serve.concurrency import canonical_snapshot
+from repro.serve.concurrency import RESET, canonical_snapshot
 from repro.serve.loadgen import TrafficModel
 from repro.serve.shard import (
     CRASH_EXIT_CODE,
+    SPAWN_TIMEOUT,
     WORKER_KILL_SITES,
     ShardConfig,
     _ShardWorker,
@@ -569,6 +571,42 @@ class TestShardLog:
         assert recovered.append("t", "CreatePublicIP", {"region": "r"}) == 2
         recovered.close()
 
+    def test_reopen_keeps_seqs_contiguous_and_params_exact(self, tmp_path):
+        """Reopening past a torn tail resumes the seqs without a gap or
+        a repeat, on disk and in memory, and params that JSON cannot
+        hold (tuples, sets) come back with their types."""
+        path = tmp_path / "shard.wal"
+        log = AdmittedLog(path)
+        log.append("a", "CreatePublicIP", {"region": "r", "tags": ("x",)})
+        log.append("b", RESET, None)
+        log.append("a", "CreateNIC", {"zones": {"z1", "z2"}})
+        install_kill_switch({"mid-serve-wal-append": 1})
+        with pytest.raises(SimulatedCrash):
+            log.append("a", "CreateNIC", {"zone": "torn"})
+        clear_kill_switch()
+
+        reopened = AdmittedLog(path)
+        assert reopened.dropped == 1
+        assert reopened.append("b", "CreateNIC", {"zone": "z"}) == 4
+        assert reopened.append("a", RESET, None) == 5
+        reopened.close()
+
+        again = AdmittedLog(path)
+        assert again.dropped == 0
+        assert [r["seq"] for r in again.records] == [1, 2, 3, 4, 5]
+        assert [r["seq"] for r in scan_records(path).records] == [
+            1, 2, 3, 4, 5,
+        ]
+        assert again.per_tenant("a") == [
+            {"seq": 1, "tenant": "a", "api": "CreatePublicIP",
+             "params": {"region": "r", "tags": ("x",)}},
+            {"seq": 3, "tenant": "a", "api": "CreateNIC",
+             "params": {"zones": {"z1", "z2"}}},
+            {"seq": 5, "tenant": "a", "api": RESET, "params": {}},
+        ]
+        assert len(again) == 5
+        again.close()
+
 
 class TestShardWorkerCompile:
     def test_tenants_and_recovery_share_one_compiled_module(self, tmp_path):
@@ -905,7 +943,40 @@ class TestSnapshotEncoder:
         assert encoder.encoded == 9
 
 
+class _DiesWhenRead:
+    """Unpickles by calling ``int`` on a non-number, which raises: a
+    worker handed one dies while it reads its start data."""
+
+    def __reduce__(self):
+        return int, ("start data no worker can read",)
+
+
 class TestSupervisor:
+    def test_worker_dying_on_its_start_data_fails_construction(
+            self, tmp_path):
+        """A worker that dies while it reads its start data fails
+        construction within SPAWN_TIMEOUT instead of blocking it.  The
+        start data carries 128 KB behind the object that kills the
+        worker, past a pipe buffer's 64 KB; construction runs on a
+        daemon thread, so a hang fails the test instead of stalling
+        the suite."""
+        module = (_DiesWhenRead(), b"\0" * (128 * 1024))
+        out = {}
+
+        def construct():
+            try:
+                ShardSupervisor(module, shards=1, data_dir=tmp_path)
+            except BaseException as error:  # asserted below
+                out["error"] = error
+
+        started = time.monotonic()
+        thread = threading.Thread(target=construct, daemon=True)
+        thread.start()
+        thread.join(SPAWN_TIMEOUT)
+        assert not thread.is_alive(), "construction hung"
+        assert time.monotonic() - started < SPAWN_TIMEOUT
+        assert isinstance(out.get("error"), RuntimeError), out
+
     def test_rpc_roundtrip_and_stats(self, tmp_path):
         with ShardSupervisor(
             toy_module(), shards=2, data_dir=tmp_path
